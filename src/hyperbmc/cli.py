@@ -5,7 +5,7 @@
     hyperbmc gen    ...   write bundled case-study models and formulas
 
 Exit codes for `check`: 0 the property holds, 1 it fails, 2 no conclusion
-at the bound; 64 and up for usage or input errors.
+at the bound; 64 and up for usage or input errors; 70 for an internal error.
 """
 
 import argparse
@@ -20,6 +20,7 @@ from .kripke import KripkeError, parse_kripke, render
 EXIT_BY_VERDICT = {driver.HOLDS: 0, driver.FAILS: 1, driver.UNKNOWN: 2}
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_SOFTWARE = 70  # sysexits EX_SOFTWARE: a crash must not read as a verdict
 
 MODES = ("falsify", "prove", "raw")
 
@@ -223,6 +224,10 @@ def main(argv=None) -> int:
     except (oracle.OracleError, driver.DriverError, qbf.QbfError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA + 1
+    except Exception as e:
+        detail = " ".join(str(e).split())
+        print(f"error: internal error: {type(e).__name__}: {detail}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

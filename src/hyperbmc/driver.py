@@ -165,8 +165,12 @@ def check(cfg: CheckConfig) -> Verdict:
             result = qbf.run_external(cfg.solver, q, timeout=cfg.solver_timeout)
 
         witness = None
-        if result.outer_witness is not None and checked.prefix:
-            outer_quant = checked.prefix[0][0]
+        outer_quant = checked.prefix[0][0] if checked.prefix else None
+        # The builtin solver assigns the outer block whenever the outer
+        # quantifier's choice decides the value. A trace with a one-state
+        # model has an empty block, which make_prenex drops; its single path
+        # is then the choice, so decode from an empty assignment.
+        if cfg.solver == "builtin" and outer_quant and result.value == (outer_quant == hl.EXISTS):
             n_outer = 0
             for q_, _ in checked.prefix:
                 if q_ != outer_quant:
@@ -175,7 +179,7 @@ def check(cfg: CheckConfig) -> Verdict:
             traces = {}
             for _, var in checked.prefix[:n_outer]:
                 traces[var] = extract_witness(
-                    result.outer_witness, layout, var, cfg.models[var]
+                    result.outer_witness or {}, layout, var, cfg.models[var]
                 )
             try:
                 confirmed = oracle.verify_witness(

@@ -1,11 +1,12 @@
 """Compile a model map, formula, bound, and semantics into a prenex QBF.
 
-Each trace variable gets one quantifier block holding, per step, one
-Boolean variable per atomic proposition, one for the reserved @halt
-proposition, and ceil(log2 |S|) state bits. The state bits are what make
-the transition relation well defined when distinct states carry equal
-labels; the proposition bits are functionally tied to them, so the body
-encoding still reads only proposition variables.
+Each trace variable gets one quantifier block holding, per step, its
+ceil(log2 |S|) state bits, which spell a state index. Propositions and the
+reserved @halt proposition are not variables: at each (trace, step) each
+one is a gate, the disjunction of the state-bit minterms of the states
+that carry it. The body encoding reads these gates; hash consing makes
+each (trace, step, state) minterm one node, built once for the transition
+relation and shared by every gate that reads it.
 """
 
 import math
@@ -28,18 +29,16 @@ class VarLayout:
     """Variable numbering for every (trace variable, step) pair.
 
     Ids are dense and follow quantifier-prefix order; within a block the
-    order is step, then proposition declaration order, then @halt, then
-    state bits. Block order therefore equals prefix order.
+    order is step, then state bit, least significant first. Block order
+    therefore equals prefix order. A trace whose model has one state has
+    an empty block.
     """
 
     bound: int
+    models: dict  # trace variable -> KripkeStructure
     blocks: list = field(default_factory=list)  # (quantifier, var, [ids])
     names: dict = field(default_factory=dict)  # id -> name
-    _ap_ids: dict = field(default_factory=dict)  # (var, step, ap) -> id
     _sb_ids: dict = field(default_factory=dict)  # (var, step) -> [ids]
-
-    def ap_id(self, var, step, ap):
-        return self._ap_ids[(var, step, ap)]
 
     def sb_ids(self, var, step):
         return self._sb_ids[(var, step)]
@@ -59,83 +58,86 @@ def state_bit_count(n_states: int) -> int:
 
 
 def build_layout(models, formula, k) -> VarLayout:
-    layout = VarLayout(bound=k)
+    layout = VarLayout(bound=k, models={var: models[var] for _, var in formula.prefix})
     next_id = 0
-    seen_names = {}
     for quant, var in formula.prefix:
-        structure = models[var]
         ids = []
-        nbits = state_bit_count(len(structure.states))
+        nbits = state_bit_count(len(models[var].states))
         for step in range(k + 1):
-            for ap in structure.aps:
-                layout._ap_ids[(var, step, ap)] = next_id
-                layout.names[next_id] = f"{ap}_{var}_{step}"
-                ids.append(next_id)
-                next_id += 1
-            layout._ap_ids[(var, step, HALT_AP)] = next_id
-            layout.names[next_id] = f"halt_{var}_{step}"
-            ids.append(next_id)
-            next_id += 1
-            bits = []
-            for j in range(nbits):
-                bits.append(next_id)
-                layout.names[next_id] = f"sb{j}_{var}_{step}"
-                ids.append(next_id)
-                next_id += 1
+            bits = list(range(next_id, next_id + nbits))
+            for j, vid in enumerate(bits):
+                layout.names[vid] = f"sb{j}_{var}_{step}"
             layout._sb_ids[(var, step)] = bits
+            ids.extend(bits)
+            next_id += nbits
         layout.blocks.append((quant, var, ids))
-    for vid, name in layout.names.items():
-        prev = seen_names.get(name)
-        if prev is not None:
-            raise EncodeError(f"variable name collision: {name!r}")
-        seen_names[name] = vid
     return layout
+
+
+def at(circ: Circuit, layout, var, step, idx) -> int:
+    """Minterm: the state bits of (var, step) spell state index idx."""
+    lits = []
+    for j, bit in enumerate(layout.sb_ids(var, step)):
+        v = circ.var(bit)
+        lits.append(v if (idx >> j) & 1 else circ.not_(v))
+    return circ.and_(lits)
+
+
+def label_gate(circ: Circuit, layout, var, step, ap) -> int:
+    """Gate for proposition ap (or @halt) of trace var at step.
+
+    The disjunction of the minterms of the states that carry it. On codes
+    that name no state it is false, but those codes never matter: see
+    unroll_structure.
+    """
+    structure = layout.models.get(var)
+    if structure is None:
+        raise EncodeError(f"trace variable {var!r} is not quantified")
+    if ap == HALT_AP:
+        carries = [s in structure.halt for s in structure.states]
+    elif ap in structure.aps:
+        carries = [ap in structure.labels[s] for s in structure.states]
+    else:
+        raise EncodeError(f"proposition {ap!r} not declared for trace variable {var!r}")
+    return circ.or_([at(circ, layout, var, step, i) for i, c in enumerate(carries) if c])
 
 
 def unroll_structure(structure, var, k, layout, circ: Circuit) -> int:
     """Circuit over var's block that holds exactly on encodings of its paths.
 
-    A satisfying assignment fixes, per step, state bits spelling a state
-    index, proposition and @halt bits equal to that state's labeling, the
-    step-0 state to the initial one, and consecutive states to transitions.
+    A satisfying assignment fixes the step-0 state bits to the initial
+    state and each pair of consecutive steps to a transition. So step 0
+    spells the initial state and every later step the target of a
+    transition: no satisfying assignment has a code >= |S| at any step,
+    although the block's bits can spell such codes. Each block enters the
+    matrix under this guard (AND for an existential, implication for a
+    universal), so the matrix does not depend on the body's value where
+    the guard is false, which is why the label gates may read false on
+    codes that name no state.
     """
     index = {s: i for i, s in enumerate(structure.states)}
-    nbits = state_bit_count(len(structure.states))
-
-    def at(step, state):
-        bits = layout.sb_ids(var, step)
-        idx = index[state]
-        lits = []
-        for j in range(nbits):
-            v = circ.var(bits[j])
-            lits.append(v if (idx >> j) & 1 else circ.not_(v))
-        return circ.and_(lits)
-
-    def labels_ok(step, state):
-        lits = []
-        for ap in structure.aps:
-            v = circ.var(layout.ap_id(var, step, ap))
-            lits.append(v if ap in structure.labels[state] else circ.not_(v))
-        hv = circ.var(layout.ap_id(var, step, HALT_AP))
-        lits.append(hv if state in structure.halt else circ.not_(hv))
-        return circ.and_(lits)
-
-    parts = [at(0, structure.init)]
-    for step in range(k + 1):
-        parts.append(circ.or_([circ.and_([at(step, s), labels_ok(step, s)]) for s in structure.states]))
-    order = {s: i for i, s in enumerate(structure.states)}
-    edges = sorted(structure.trans, key=lambda e: (order[e[0]], order[e[1]]))
+    parts = [at(circ, layout, var, 0, index[structure.init])]
+    edges = sorted((index[s], index[d]) for s, d in structure.trans)
     for step in range(k):
-        parts.append(circ.or_([circ.and_([at(step, s), at(step + 1, d)]) for s, d in edges]))
+        parts.append(circ.or_(
+            [circ.and_([at(circ, layout, var, step, s), at(circ, layout, var, step + 1, d)])
+             for s, d in edges]
+        ))
     return circ.and_(parts)
 
 
 def encode_body(body, k, sem, layout, circ: Circuit, paper_literal=False) -> int:
     """Fixpoint expansion of an NNF body at step 0, memoized on (node, step)."""
     memo = {}
-    halted_k = circ.and_(
-        [circ.var(layout.ap_id(v, k, HALT_AP)) for v in layout.trace_vars()]
-    )
+    gates = {}
+
+    def label(var, i, ap):
+        key = (var, i, ap)
+        if key not in gates:
+            gates[key] = label_gate(circ, layout, var, i, ap)
+        return gates[key]
+
+    halted_k = circ.and_([label(v, k, HALT_AP) for v in layout.trace_vars()])
 
     def enc(b, i):
         key = (b, i)
@@ -149,9 +151,7 @@ def encode_body(body, k, sem, layout, circ: Circuit, paper_literal=False) -> int
         if isinstance(b, hl.Const):
             return circ.const(b.value)
         if isinstance(b, (hl.Atom, hl.NegAtom)):
-            if (b.var, i, b.ap) not in layout._ap_ids:
-                raise EncodeError(f"proposition {b.ap!r} not declared for trace variable {b.var!r}")
-            v = circ.var(layout.ap_id(b.var, i, b.ap))
+            v = label(b.var, i, b.ap)
             return v if isinstance(b, hl.Atom) else circ.not_(v)
         if isinstance(b, hl.And):
             return circ.and_([enc(b.left, i), enc(b.right, i)])

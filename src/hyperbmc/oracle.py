@@ -6,7 +6,7 @@ ranging over enumerated prefixes. It trades all efficiency for obviousness.
 """
 
 from . import hyperltl as hl
-from .kripke import HALT_AP, enumerate_prefixes
+from .kripke import HALT_AP, count_prefixes, enumerate_prefixes
 
 PES = "pes"
 OPT = "opt"
@@ -135,27 +135,7 @@ def eval_body(assignment, i, body, k, sem, paper_literal=False):
 
 def check_bounded(models, formula, k, sem, paper_literal=False):
     """Evaluate a closed NNF formula: quantifiers by enumeration, body at i=0."""
-    prefix_sets = {}
-    total = 1
-    for _, var in formula.prefix:
-        structure = models[var]
-        key = id(structure)
-        if key not in prefix_sets:
-            prefix_sets[key] = enumerate_prefixes(structure, k)
-        total *= len(prefix_sets[key])
-        if total > ENUMERATION_CAP:
-            raise ExplosionGuardError(total)
-
-    def quantify(idx, assignment):
-        if idx == len(formula.prefix):
-            return eval_body(assignment, 0, formula.body, k, sem, paper_literal)
-        quant, var = formula.prefix[idx]
-        prefixes = prefix_sets[id(models[var])]
-        if quant == hl.EXISTS:
-            return any(quantify(idx + 1, {**assignment, var: t}) for t in prefixes)
-        return all(quantify(idx + 1, {**assignment, var: t}) for t in prefixes)
-
-    return quantify(0, {})
+    return _quantify(models, formula, k, sem, paper_literal, {})
 
 
 def verify_witness(witness, models, formula, k, sem, paper_literal=False):
@@ -166,25 +146,34 @@ def verify_witness(witness, models, formula, k, sem, paper_literal=False):
     existential witness the caller expects True, for a universal countermodel
     False.
     """
-    n = len(witness)
-    leading = [v for _, v in formula.prefix[:n]]
+    leading = [v for _, v in formula.prefix[: len(witness)]]
     if set(leading) != set(witness):
         raise OracleError("witness must cover a leading block of the prefix")
-    rest = hl.HyperFormula(prefix=formula.prefix[n:], body=formula.body)
+    return _quantify(models, formula, k, sem, paper_literal, dict(witness))
 
-    prefix_sets = {var: enumerate_prefixes(models[var], k) for _, var in rest.prefix}
+
+def _quantify(models, formula, k, sem, paper_literal, pinned):
+    """Truth with the leading len(pinned) quantifiers fixed, the rest enumerated.
+
+    The product of the remaining prefix counts is compared with the cap
+    before any prefix is enumerated.
+    """
+    rest = formula.prefix[len(pinned) :]
     total = 1
-    for _, var in rest.prefix:
-        total *= len(prefix_sets[var])
+    for _, var in rest:
+        total *= count_prefixes(models[var], k)
         if total > ENUMERATION_CAP:
             raise ExplosionGuardError(total)
+    prefix_sets = {}
+    for _, var in rest:
+        if id(models[var]) not in prefix_sets:
+            prefix_sets[id(models[var])] = enumerate_prefixes(models[var], k)
 
-    def quantify(idx, assignment):
-        if idx == len(rest.prefix):
-            return eval_body(assignment, 0, rest.body, k, sem, paper_literal)
-        quant, var = rest.prefix[idx]
-        if quant == hl.EXISTS:
-            return any(quantify(idx + 1, {**assignment, var: t}) for t in prefix_sets[var])
-        return all(quantify(idx + 1, {**assignment, var: t}) for t in prefix_sets[var])
+    def go(idx, assignment):
+        if idx == len(rest):
+            return eval_body(assignment, 0, formula.body, k, sem, paper_literal)
+        quant, var = rest[idx]
+        branches = (go(idx + 1, {**assignment, var: t}) for t in prefix_sets[id(models[var])])
+        return any(branches) if quant == hl.EXISTS else all(branches)
 
-    return quantify(0, dict(witness))
+    return go(0, pinned)

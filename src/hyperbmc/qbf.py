@@ -147,7 +147,12 @@ def _dpll(circ, node, variables):
         unsat.add(n)
         return None
 
-    assignment = search(node, 0)
+    try:
+        assignment = search(node, 0)
+    finally:
+        # search refers to itself through its closure cell; emptying the cell
+        # frees the arena now instead of at the next cyclic collection
+        del search
     if assignment is None:
         return None
     for v in variables:

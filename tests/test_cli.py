@@ -192,3 +192,19 @@ def test_check_from_bound(capsys, model_file):
     )
     assert code == 0
     assert "bound: 2" in out
+
+
+def test_internal_error_exits_software(capsys, model_file, monkeypatch):
+    # a crash must not exit 1, which reads as FAILS
+    from hyperbmc import driver
+
+    def boom(cfg):
+        raise RuntimeError("simulated internal fault")
+
+    monkeypatch.setattr(driver, "check", boom)
+    code, out, err = run(
+        capsys, "check", "--formula", "exists A. a[A]", "--model-default", model_file, "-k", "1"
+    )
+    assert code == 70
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: simulated internal fault\n"

@@ -55,6 +55,26 @@ def test_falsify_finds_missing_proposition():
     assert v.witness["A"].states == ("s0", "s0")
 
 
+def test_one_state_outer_trace_reports_witness():
+    # AB_STATE has one state, so A's block is empty and make_prenex drops it;
+    # the single path is still the witness of the outer existential
+    f = parse_formula("exists A. forall B. F (a[A] & !a[B])")
+    cfg = CheckConfig(
+        formula=f, models={"A": AB_STATE, "B": CHAIN}, k_from=0, k_max=3,
+        semantics=oracle.PES,
+    )
+    v = check(cfg)
+    assert v.interpretation == HOLDS
+    assert v.k == 2  # B leaves a at step 1, which must lie strictly inside the bound
+    assert v.witness is not None
+    assert v.witness["A"].states == ("s0", "s0", "s0")
+    # every trace single-state: no blocks at all
+    v = check(CheckConfig(formula=parse_formula("exists A. a[A]"), models={"A": AB_STATE},
+                          k_from=0, k_max=0, semantics=oracle.PES))
+    assert v.interpretation == HOLDS
+    assert v.witness["A"].states == ("s0",)
+
+
 def test_prove_mode_stays_unknown_for_safety_body():
     # the negated formula is an eventuality, optimistically always fulfilled,
     # so no bound is conclusive
@@ -124,8 +144,8 @@ def test_bounds_validated():
 def test_extract_witness_bound_zero():
     f = normalize(parse_formula("exists A. a[A]"))
     layout = build_layout({"A": CHAIN}, f, 0)
+    # the labels come from the decoded state, not from the assignment
     assignment = {v: False for v in layout.block_ids("A")}
-    assignment[layout.ap_id("A", 0, "a")] = True
     prefix = extract_witness(assignment, layout, "A", CHAIN)
     assert prefix.states == ("s0",)
     assert prefix.letters == ({"a"},)
@@ -135,7 +155,6 @@ def test_extract_witness_chain():
     f = normalize(parse_formula("exists A. a[A]"))
     layout = build_layout({"A": CHAIN}, f, 1)
     assignment = {v: False for v in layout.block_ids("A")}
-    assignment[layout.ap_id("A", 0, "a")] = True
     (sb1,) = layout.sb_ids("A", 1)
     assignment[sb1] = True  # step 1 at state index 1
     prefix = extract_witness(assignment, layout, "A", CHAIN)

@@ -4,9 +4,9 @@ from hyperbmc import circuit as ct
 from hyperbmc import hyperltl as hl
 from hyperbmc import oracle
 from hyperbmc.circuit import Circuit
-from hyperbmc.encoder import assemble_qbf, build_layout, encode_body, unroll_structure
+from hyperbmc.encoder import assemble_qbf, build_layout, encode_body, label_gate, unroll_structure
 from hyperbmc.hyperltl import Atom, Next, Release, Until, normalize, parse_formula
-from hyperbmc.kripke import enumerate_prefixes, parse_kripke
+from hyperbmc.kripke import HALT_AP, enumerate_prefixes, parse_kripke
 from hyperbmc.qbf import solve
 
 from conftest import rand_instance
@@ -14,6 +14,11 @@ from conftest import rand_instance
 ONE_STATE = parse_kripke("ap a; states s0; init s0; label s0 {a}; trans s0 -> s0;")
 CHAIN = parse_kripke(
     "ap a; states s0 s1; init s0; label s0 {a}; label s1 {}; trans s0 -> s1; trans s1 -> s1;"
+)
+# three states need two state bits, so code 3 names no state
+THREE = parse_kripke(
+    "ap a; states s0 s1 s2; init s0; label s0 {a}; label s1 {}; label s2 {a}; "
+    "trans s0 -> s1; trans s1 -> s2; trans s2 -> s2;"
 )
 
 
@@ -38,11 +43,12 @@ def test_unroll_one_state_fixes_labels():
     layout = layout_for({"A": ONE_STATE}, ((hl.EXISTS, "A"),), 0)
     circ = Circuit()
     node = unroll_structure(ONE_STATE, "A", 0, layout, circ)
-    # two variables (a and @halt), exactly one legal valuation
-    ids = layout.block_ids("A")
-    assert len(ids) == 2
-    assert model_count(circ, node, ids) == 1
-    assert circ.evaluate(node, {ids[0]: True, ids[1]: False})
+    # no state bits: the empty valuation is the single path, and the label
+    # gates fold to that state's labeling
+    assert layout.block_ids("A") == []
+    assert node == ct.TRUE
+    assert label_gate(circ, layout, "A", 0, "a") == ct.TRUE
+    assert label_gate(circ, layout, "A", 0, HALT_AP) == ct.FALSE
 
 
 def test_unroll_chain_single_path():
@@ -77,15 +83,15 @@ def test_encode_next_is_projection():
     for sem in oracle.SEMANTICS:
         circ = Circuit()
         node = encode_body(Next(Atom("a", "A")), 1, sem, layout, circ)
-        assert node == circ.var(layout.ap_id("A", 1, "a"))
+        assert node == label_gate(circ, layout, "A", 1, "a")
 
 
 def test_encode_until_at_bound_pessimistic_vs_classic():
     layout = layout_for({"A": CHAIN}, ((hl.EXISTS, "A"),), 1)
     body = Until(hl.TRUE, Atom("a", "A"))
     circ = Circuit()
-    p0 = circ.var(layout.ap_id("A", 0, "a"))
-    p1 = circ.var(layout.ap_id("A", 1, "a"))
+    p0 = label_gate(circ, layout, "A", 0, "a")
+    p1 = label_gate(circ, layout, "A", 1, "a")
     assert encode_body(body, 1, oracle.PES, layout, circ) == p0
     assert encode_body(body, 1, oracle.CLASSIC, layout, circ) == circ.or_([p0, p1])
 
@@ -94,7 +100,7 @@ def test_encode_release_at_bound_optimistic():
     layout = layout_for({"A": CHAIN}, ((hl.EXISTS, "A"),), 1)
     body = Release(hl.FALSE, Atom("a", "A"))
     circ = Circuit()
-    p0 = circ.var(layout.ap_id("A", 0, "a"))
+    p0 = label_gate(circ, layout, "A", 0, "a")
     assert encode_body(body, 1, oracle.OPT, layout, circ) == p0
 
 
@@ -107,7 +113,8 @@ def test_encode_memoization_shares_nodes():
     combined = encode_body(body, 2, oracle.PES, layout, circ)
     # the shared subformula reuses the identical node
     assert encode_body(sub, 2, oracle.PES, layout, circ) == before
-    assert combined == circ.or_([before, circ.and_([before, circ.var(layout.ap_id("A", 0, "a"))])])
+    a0 = label_gate(circ, layout, "A", 0, "a")
+    assert combined == circ.or_([before, circ.and_([before, a0])])
 
 
 def test_assemble_forall_exists_shape():
@@ -129,43 +136,45 @@ def test_assemble_exists_forall_shape():
 
 def test_assemble_single_quantifier():
     f = normalize(parse_formula("exists A. a[A]"))
-    q = assemble_qbf(f, {"A": ONE_STATE}, 0, oracle.PES)
+    q = assemble_qbf(f, {"A": CHAIN}, 0, oracle.PES)
     assert len(q.blocks) == 1
+    assert solve(q).value is True
+    # a one-state model has no state bits: no block, and the matrix folds
+    q = assemble_qbf(f, {"A": ONE_STATE}, 0, oracle.PES)
+    assert q.blocks == ()
+    assert q.matrix == ct.TRUE
     assert solve(q).value is True
 
 
 def test_layout_order_and_names():
-    layout = layout_for({"A": CHAIN, "B": ONE_STATE}, ((hl.FORALL, "A"), (hl.EXISTS, "B")), 1)
+    layout = layout_for(
+        {"A": THREE, "B": CHAIN, "C": ONE_STATE},
+        ((hl.FORALL, "A"), (hl.EXISTS, "B"), (hl.EXISTS, "C")),
+        1,
+    )
     a_ids = layout.block_ids("A")
     b_ids = layout.block_ids("B")
     assert max(a_ids) < min(b_ids)  # block order equals prefix order
-    # within a block: step, then proposition order, then @halt, then state bits
-    assert layout.names[a_ids[0]] == "a_A_0"
-    assert layout.names[a_ids[1]] == "halt_A_0"
-    assert layout.names[a_ids[2]] == "sb0_A_0"
-    assert layout.names[a_ids[3]] == "a_A_1"
+    # only state bits: within a block, step, then bit (least significant first)
+    assert [layout.names[v] for v in a_ids] == ["sb0_A_0", "sb1_A_0", "sb0_A_1", "sb1_A_1"]
+    assert [layout.names[v] for v in b_ids] == ["sb0_B_0", "sb0_B_1"]
+    assert layout.block_ids("C") == []
     assert len(set(layout.names.values())) == len(layout.names)
 
 
 def test_spurious_assignment_immunity():
-    # a universal-block assignment violating the unrolling never matters:
-    # flipping its proposition bits cannot change the QBF value
+    # a universal-block assignment violating the unrolling never matters,
+    # whatever the label gates read on it
     f = normalize(parse_formula("forall A. exists B. G (a[A] <-> a[B])"))
-    layout = build_layout({"A": CHAIN, "B": CHAIN}, f, 1)
-    q = assemble_qbf(f, {"A": CHAIN, "B": CHAIN}, 1, oracle.PES, layout=layout)
-    base = solve(q).value
-    a_ids = layout.block_ids("A")
-    # s0 then s0 is not a transition of CHAIN: violating assignment
-    bad = {layout.ap_id("A", 0, "a"): True, layout.ap_id("A", 1, "a"): True}
-    for i, sb in enumerate(layout.sb_ids("A", 0)):
-        bad[sb] = False
-    for i, sb in enumerate(layout.sb_ids("A", 1)):
-        bad[sb] = False
-    bad[layout.ap_id("A", 0, "@halt")] = False
-    bad[layout.ap_id("A", 1, "@halt")] = False
+    models = {"A": THREE, "B": THREE}
+    layout = build_layout(models, f, 1)
+    q = assemble_qbf(f, models, 1, oracle.PES, layout=layout)
+    circ = q.circuit
+
+    def spell(step, idx):
+        return {bit: bool(idx >> j & 1) for j, bit in enumerate(layout.sb_ids("A", step))}
 
     def value_with(assignment):
-        circ = q.circuit
         m = q.matrix
         for v, val in assignment.items():
             m = circ.restrict(m, v, val)
@@ -174,12 +183,15 @@ def test_spurious_assignment_immunity():
         rest = make_prenex(circ, q.blocks[1:], m, q.var_names)
         return qsolve(rest).value
 
-    assert value_with(bad) is True  # the guard makes the branch vacuous
-    for flip in (layout.ap_id("A", 0, "a"), layout.ap_id("A", 1, "a")):
-        variant = dict(bad)
-        variant[flip] = not variant[flip]
-        # still violating: flipping label bits cannot rescue a broken path
-        assert value_with(variant) is True
+    # s0 then s0 is not a transition of THREE; s0 then code 3 names no state
+    no_edge = {**spell(0, 0), **spell(1, 0)}
+    no_state = {**spell(0, 0), **spell(1, 3)}
+    assert circ.evaluate(label_gate(circ, layout, "A", 1, "a"), no_edge) is True
+    assert circ.evaluate(label_gate(circ, layout, "A", 1, "a"), no_state) is False
+    for bad in (no_edge, no_state):
+        assert value_with(bad) is True  # the guard makes the branch vacuous
+    # on the legal path s0 s1 the body decides, and pes never establishes G
+    assert value_with({**spell(0, 0), **spell(1, 1)}) is False
 
 
 def test_encoder_matches_oracle_smoke(rng):

@@ -115,6 +115,27 @@ def test_explosion_guard():
         check_bounded({"A": wide, "B": wide, "C": wide}, f, 4, PES)
 
 
+def test_verify_witness_guard_before_enumeration():
+    # count_prefixes(grid10, 20) is 2,353,498,645: the cap must be checked on
+    # the counts, before a single residual prefix is enumerated
+    import time
+
+    from hyperbmc.kripke import make_prefix
+    from hyperbmc.models import PAPER_GRID_10, builtin_spec, gen_grid, parse_grid_map
+
+    grid = gen_grid(*parse_grid_map(PAPER_GRID_10))
+    path = [grid.init]
+    while len(path) < 21:
+        path.append(grid.successors(path[-1])[0])
+    f = normalize(parse_formula(builtin_spec("shortest_path").formula))
+    t0 = time.perf_counter()
+    with pytest.raises(ExplosionGuardError):
+        oracle.verify_witness(
+            {"A": make_prefix(grid, tuple(path))}, {"A": grid, "B": grid}, f, 20, CLASSIC
+        )
+    assert time.perf_counter() - t0 < 1.0
+
+
 # -- quantifier evaluation against hand-enumerated combinations ---------------
 
 
