@@ -1,0 +1,392 @@
+"""Reduced ordered binary decision diagrams (Bryant 1986) for the builtin solver.
+
+Node handles are ints: 0 is the constant false, 1 the constant true, and
+every other node n tests the variable at level[n], continuing to lo[n]
+when it is false and to hi[n] when it is true. A variable's level is its
+id, so a smaller id sits nearer the root. Nodes are unique per (level,
+lo, hi) and never have lo == hi, so two handles are equal iff their
+functions are: a BDD is FALSE or TRUE exactly when its handle is.
+
+Every operation is a loop over an explicit stack, so neither the number
+of variables nor the depth of a BDD meets the Python recursion limit.
+Dead nodes stay in the arena until collect(), a mark-compact pass from
+the roots a caller pins; it renumbers the survivors, so a caller runs it
+between operations, never inside one. node_cap bounds the arena and
+raises NodeCapError when an operation would grow it past the cap.
+"""
+
+from array import array
+from itertools import compress
+
+FALSE = 0
+TRUE = 1
+
+AND = 0
+OR = 1
+
+# Levels of the terminals: below every variable.
+_TERMINAL = 2**31 - 1
+
+# No collection while the arena is smaller than this, so small problems
+# never pay for one.
+GC_MIN_NODES = 1 << 17
+
+# Computed-table entries per operation before the table is dropped.
+CACHE_LIMIT = 1 << 20
+
+# Frame tags of the quantifying apply loop.
+_EXPAND, _MK, _AFTER_LO, _COMBINE = range(4)
+
+
+class NodeCapError(Exception):
+    """Raised when an operation would grow the arena past its node cap."""
+
+    def __init__(self, nodes):
+        super().__init__(f"BDD node cap exceeded at {nodes} nodes")
+        self.nodes = nodes
+
+
+class BDD:
+    """Single-owner node arena with a unique table and computed tables."""
+
+    def __init__(self, node_cap=None):
+        self.level = array("i", [_TERMINAL, _TERMINAL])
+        self.lo = array("i", [FALSE, TRUE])
+        self.hi = array("i", [FALSE, TRUE])
+        self.node_cap = node_cap
+        # Table keys pack two node handles into one int; handles stay below
+        # the cap, so the shift keeps them apart.
+        self._shift = max(32, (node_cap or 0).bit_length())
+        self._unique = []  # per level: (lo << shift | hi) -> node
+        self._cache = ({}, {})  # per binary op: (f << shift | g) -> node
+        self._not = {}
+        self._gc_at = GC_MIN_NODES
+
+    def __len__(self):
+        return len(self.level)
+
+    def _mk(self, v, lo, hi):
+        """The node testing level v with children lo != hi."""
+        key = lo << self._shift | hi
+        table = self._unique[v]
+        n = table.get(key)
+        if n is None:
+            n = len(self.level)
+            if self.node_cap is not None and n >= self.node_cap:
+                raise NodeCapError(n)
+            self.level.append(v)
+            self.lo.append(lo)
+            self.hi.append(hi)
+            table[key] = n
+        return n
+
+    def _reserve(self, v):
+        """Make room in the unique table for levels up to v."""
+        while len(self._unique) <= v:
+            self._unique.append({})
+
+    def var(self, v):
+        self._reserve(v)
+        return self._mk(v, FALSE, TRUE)
+
+    def apply(self, op, f, g):
+        """f AND g or f OR g."""
+        zero, unit = (FALSE, TRUE) if op == AND else (TRUE, FALSE)
+        cache = self._cache[op]
+        if len(cache) > CACHE_LIMIT:
+            cache.clear()
+        level, lo, hi, unique, shift = self.level, self.lo, self.hi, self._unique, self._shift
+        cap = self.node_cap if self.node_cap is not None else 1 << shift
+        out = []
+        todo = [(f, g, -1)]
+        push, pop, emit = todo.append, todo.pop, out.append
+        while todo:
+            f, g, v = pop()
+            if v >= 0:  # both cofactors done; f holds the table key
+                h = out.pop()
+                r = out[-1]
+                if r != h:  # _mk, inlined: this is the hot loop
+                    table = unique[v]
+                    key = r << shift | h
+                    n = table.get(key)
+                    if n is None:
+                        n = len(level)
+                        if n >= cap:
+                            raise NodeCapError(n)
+                        level.append(v)
+                        lo.append(r)
+                        hi.append(h)
+                        table[key] = n
+                    r = out[-1] = n
+                cache[f] = r
+            elif f == g or g == unit:
+                emit(f)
+            elif f == unit:
+                emit(g)
+            elif f == zero or g == zero:
+                emit(zero)
+            else:
+                if f > g:
+                    f, g = g, f
+                key = f << shift | g
+                r = cache.get(key)
+                if r is not None:
+                    emit(r)
+                    continue
+                vf = level[f]
+                vg = level[g]
+                if vf == vg:
+                    push((key, 0, vf))
+                    push((hi[f], hi[g], -1))
+                    push((lo[f], lo[g], -1))
+                elif vf < vg:
+                    push((key, 0, vf))
+                    push((hi[f], g, -1))
+                    push((lo[f], g, -1))
+                else:
+                    push((key, 0, vg))
+                    push((f, hi[g], -1))
+                    push((f, lo[g], -1))
+        return out[0]
+
+    def join(self, op, nodes):
+        """op over a list of nodes; the unit of op if it is empty.
+
+        Literals (single-node BDDs) are chained into one cube or clause
+        bottom-up, without apply: a conjunction of n literals taken one
+        by one in arbitrary order would rebuild its path up to n times.
+        """
+        zero, unit = (FALSE, TRUE) if op == AND else (TRUE, FALSE)
+        level, lo, hi = self.level, self.lo, self.hi
+        lits = []
+        rest = []
+        for f in nodes:
+            if f <= TRUE:
+                if f == zero:
+                    return zero
+            elif lo[f] <= TRUE and hi[f] <= TRUE:
+                lits.append(f)
+            else:
+                rest.append(f)
+        node = unit
+        prev = None
+        for f in sorted(set(lits), key=level.__getitem__, reverse=True):
+            v = level[f]
+            if v == prev:  # a literal and its complement
+                return zero
+            prev = v
+            node = self._mk(v, node if lo[f] == unit else zero, node if hi[f] == unit else zero)
+        for f in rest:
+            node = self.apply(op, node, f)
+        return node
+
+    def or_of_cubes(self, cubes):
+        """OR of cubes, each a list of (variable, value) pairs sorted by variable.
+
+        When every cube fixes the same variables, the cubes form a trie
+        over those variables, and each node is made once, level by level
+        from the bottom. Otherwise they are joined one by one.
+        """
+        variables = [v for v, _ in cubes[0]] if cubes else []
+        if any([v for v, _ in c] != variables for c in cubes):
+            return self.join(OR, [self.join(AND, [self.literal(*x) for x in c]) for c in cubes])
+        if variables:
+            self._reserve(variables[-1])
+        layer = dict.fromkeys((tuple(b for _, b in c) for c in cubes), TRUE)
+        for v in reversed(variables):
+            children = {}
+            for bits, node in layer.items():
+                children.setdefault(bits[:-1], [FALSE, FALSE])[bits[-1]] = node
+            layer = {p: l if l == h else self._mk(v, l, h) for p, (l, h) in children.items()}
+        return layer.get((), FALSE)
+
+    def literal(self, v, value):
+        x = self.var(v)
+        return x if value else self._mk(v, TRUE, FALSE)
+
+    def not_(self, f):
+        cache = self._not
+        if len(cache) > CACHE_LIMIT:
+            cache.clear()
+        level, lo, hi, mk = self.level, self.lo, self.hi, self._mk
+        out = []
+        todo = [(f, -1)]
+        while todo:
+            f, v = todo.pop()
+            if v >= 0:
+                h = out.pop()
+                r = out[-1] = mk(v, out[-1], h)
+                cache[f] = r
+                cache[r] = f
+                continue
+            if f <= TRUE:
+                out.append(TRUE - f)
+                continue
+            r = cache.get(f)
+            if r is not None:
+                out.append(r)
+                continue
+            todo.append((f, level[f]))
+            todo.append((hi[f], -1))
+            todo.append((lo[f], -1))
+        return out[0]
+
+    def exists(self, f, variables):
+        return self.quantify(AND, OR, f, TRUE, variables)
+
+    def forall(self, f, variables):
+        return self.quantify(OR, AND, f, FALSE, variables)
+
+    def quantify(self, op, qop, f, g, variables):
+        """Quantify `variables` out of op(f, g) without building op(f, g) first.
+
+        qop joins the two cofactors of a quantified variable: OR for an
+        existential, AND for a universal. So quantify(AND, OR, f, g, B) is
+        the relational product of f and g over B, and quantify(OR, AND, f,
+        g, B) is its universal dual. Passing op's unit as g quantifies f
+        alone. A zero low cofactor for OR (or a zero high one for AND)
+        skips the other cofactor.
+        """
+        variables = list(variables)
+        if not variables:
+            return self.apply(op, f, g)
+        qset = bytearray(max(variables) + 1)
+        for v in variables:
+            qset[v] = 1
+        maxq = len(qset) - 1
+        zero, unit = (FALSE, TRUE) if op == AND else (TRUE, FALSE)
+        decided = TRUE if qop == OR else FALSE
+        level, lo, hi, mk, shift = self.level, self.lo, self.hi, self._mk, self._shift
+        apply = self.apply
+        memo = {}
+        out = []
+        todo = [(_EXPAND, f, g)]
+        while todo:
+            frame = todo.pop()
+            tag = frame[0]
+            if tag == _EXPAND:
+                _, f, g = frame
+                # reduce op(f, g) to one operand where the op allows
+                if f == g or g == unit:
+                    g = unit
+                elif f == unit:
+                    f, g = g, unit
+                elif f == zero or g == zero:
+                    out.append(zero)
+                    continue
+                if g == unit:
+                    if f <= TRUE or level[f] > maxq:
+                        out.append(f)
+                        continue
+                    vf, vg = level[f], _TERMINAL
+                else:
+                    vf, vg = level[f], level[g]
+                    if vf > maxq and vg > maxq:
+                        out.append(apply(op, f, g))
+                        continue
+                    if f > g:
+                        f, g, vf, vg = g, f, vg, vf
+                key = f << shift | g
+                r = memo.get(key)
+                if r is not None:
+                    out.append(r)
+                    continue
+                v = vf if vf < vg else vg
+                f0, f1 = (lo[f], hi[f]) if vf == v else (f, f)
+                g0, g1 = (lo[g], hi[g]) if vg == v else (g, g)
+                if qset[v]:
+                    todo.append((_AFTER_LO, key, f1, g1))
+                else:
+                    todo.append((_MK, key, v))
+                    todo.append((_EXPAND, f1, g1))
+                todo.append((_EXPAND, f0, g0))
+            elif tag == _MK:
+                _, key, v = frame
+                h = out.pop()
+                l = out[-1]
+                r = out[-1] = l if l == h else mk(v, l, h)
+                memo[key] = r
+            elif tag == _AFTER_LO:
+                _, key, f1, g1 = frame
+                if out[-1] == decided:
+                    memo[key] = decided
+                else:
+                    todo.append((_COMBINE, key))
+                    todo.append((_EXPAND, f1, g1))
+            else:
+                h = out.pop()
+                r = out[-1] = apply(qop, out[-1], h)
+                memo[frame[1]] = r
+        return out[0]
+
+    def path(self, f, target):
+        """The lowest path from f to the terminal `target`: {level: value}.
+
+        Low edges are taken whenever they can still reach `target`. Every
+        non-terminal node of a reduced BDD is a non-constant function, so
+        it reaches both terminals and only a low edge straight into the
+        other terminal has to be avoided. With levels as variable ids this
+        is the lexicographically least assignment, false before true.
+        """
+        if f <= TRUE and f != target:
+            raise ValueError(f"no path from constant {f} to {target}")
+        level, lo, hi = self.level, self.lo, self.hi
+        avoid = TRUE - target
+        out = {}
+        while f > TRUE:
+            if lo[f] == avoid:
+                out[level[f]] = True
+                f = hi[f]
+            else:
+                out[level[f]] = False
+                f = lo[f]
+        return out
+
+    def maybe_collect(self, pinned):
+        """collect(pinned) once the arena has doubled since the last one."""
+        if len(self.level) >= self._gc_at:
+            self.collect(pinned)
+
+    def collect(self, pinned):
+        """Keep the nodes reachable from the values of dict `pinned`, drop the rest.
+
+        Survivors keep their relative order, so children still precede
+        parents; `pinned` is updated in place to the new handles. The
+        computed tables are cleared, since their handles are stale.
+        """
+        level, lo, hi = self.level, self.lo, self.hi
+        n = len(level)
+        live = bytearray(n)
+        live[FALSE] = live[TRUE] = 1
+        stack = list(pinned.values())
+        while stack:
+            x = stack.pop()
+            if not live[x]:
+                live[x] = 1
+                stack.append(lo[x])
+                stack.append(hi[x])
+        new = array("i", [FALSE]) * n
+        new[TRUE] = TRUE
+        nlevel = array("i", [_TERMINAL, _TERMINAL])
+        nlo = array("i", [FALSE, TRUE])
+        nhi = array("i", [FALSE, TRUE])
+        unique = [{} for _ in self._unique]
+        shift = self._shift
+        nxt = 2
+        for x in compress(range(2, n), memoryview(live)[2:]):
+            v = level[x]
+            l = new[lo[x]]
+            h = new[hi[x]]
+            new[x] = nxt
+            nlevel.append(v)
+            nlo.append(l)
+            nhi.append(h)
+            unique[v][l << shift | h] = nxt
+            nxt += 1
+        self.level, self.lo, self.hi, self._unique = nlevel, nlo, nhi, unique
+        for c in self._cache:
+            c.clear()
+        self._not.clear()
+        for name, x in pinned.items():
+            pinned[name] = new[x]
+        self._gc_at = max(GC_MIN_NODES, 2 * nxt)

@@ -19,23 +19,14 @@ K_AND = 3
 K_OR = 4
 
 
-class CircuitCapError(Exception):
-    """Raised when an arena grows past its configured node cap."""
-
-    def __init__(self, nodes):
-        super().__init__(f"circuit node cap exceeded at {nodes} nodes")
-        self.nodes = nodes
-
-
 class Circuit:
     """Single-writer arena; completed nodes are immutable and shareable."""
 
-    def __init__(self, node_cap=None):
+    def __init__(self):
         self.kinds = [K_CONST, K_CONST]
         self.payloads = [False, True]
         self.masks = [0, 0]  # variable support as a bitmask
         self._intern = {}
-        self.node_cap = node_cap
 
     def __len__(self):
         return len(self.kinds)
@@ -46,8 +37,6 @@ class Circuit:
         if n is not None:
             return n
         n = len(self.kinds)
-        if self.node_cap is not None and n >= self.node_cap:
-            raise CircuitCapError(n)
         self.kinds.append(kind)
         self.payloads.append(payload)
         self.masks.append(mask)

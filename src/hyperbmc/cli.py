@@ -109,6 +109,7 @@ def _cmd_check(args) -> int:
                 var: [sorted(letter) for letter in prefix.letters]
                 for var, prefix in verdict.witness.items()
             },
+            "witness_status": verdict.witness_status,
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -215,7 +216,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (driver.ConfigError, hl.FormulaError, KripkeError, ValueError, KeyError) as e:
+    except (driver.ConfigError, hl.FormulaError, KripkeError, models.ModelError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except OSError as e:

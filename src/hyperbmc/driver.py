@@ -59,6 +59,10 @@ class Verdict:
     witness: dict | None  # trace variable -> TracePrefix
     fragment_hint: str
     checked_negation: bool
+    # "verified": `witness` holds the solver's witness, re-checked by the
+    # oracle; "unverified": the solver found one, but the oracle's explosion
+    # guard stopped the re-check, so `witness` is None; None: no witness.
+    witness_status: str | None = None
 
 
 def interpret(qbf_value: bool, sem: str) -> str:
@@ -165,6 +169,7 @@ def check(cfg: CheckConfig) -> Verdict:
             result = qbf.run_external(cfg.solver, q, timeout=cfg.solver_timeout)
 
         witness = None
+        witness_status = None
         outer_quant = checked.prefix[0][0] if checked.prefix else None
         # The builtin solver assigns the outer block whenever the outer
         # quantifier's choice decides the value. A trace with a one-state
@@ -188,8 +193,10 @@ def check(cfg: CheckConfig) -> Verdict:
             except oracle.ExplosionGuardError:
                 # Too many residual prefixes to re-check; the decoded paths are
                 # still structure-valid, but an unverified witness is never
-                # reported.
+                # reported, only its status.
                 traces = None
+                if outer_quant == hl.EXISTS:
+                    witness_status = "unverified"
             else:
                 # An existential witness must make the rest true (value TRUE),
                 # a universal countermodel must make it false (value FALSE);
@@ -200,8 +207,9 @@ def check(cfg: CheckConfig) -> Verdict:
                         "solver witness failed independent re-verification "
                         f"(bound {k}, value {result.value})"
                     )
-            if traces is not None and outer_quant == hl.EXISTS and result.value:
+            if traces is not None and outer_quant == hl.EXISTS:
                 witness = traces
+                witness_status = "verified"
 
         interpretation = interpret(result.value, cfg.semantics)
         reported = _flip(interpretation) if cfg.negate_first else interpretation
@@ -212,6 +220,7 @@ def check(cfg: CheckConfig) -> Verdict:
             witness=witness,
             fragment_hint=hint,
             checked_negation=cfg.negate_first,
+            witness_status=witness_status,
         )
         if reported != UNKNOWN:
             return verdict

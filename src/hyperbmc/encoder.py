@@ -28,9 +28,13 @@ class EncodeError(Exception):
 class VarLayout:
     """Variable numbering for every (trace variable, step) pair.
 
-    Ids are dense and follow quantifier-prefix order; within a block the
-    order is step, then state bit, least significant first. Block order
-    therefore equals prefix order. A trace whose model has one state has
+    Ids are dense and step-major: all of step 0, then all of step 1, and
+    so on; within a step the traces follow quantifier-prefix order, and
+    within a trace the state bits go least significant first. Each block
+    holds its trace's ids in that order (step, then bit), so blocks follow
+    prefix order but interleave in id. The builtin solver uses ids as BDD
+    levels: interleaving the traces step by step keeps the BDDs that
+    relate them at one step small. A trace whose model has one state has
     an empty block.
     """
 
@@ -58,19 +62,20 @@ def state_bit_count(n_states: int) -> int:
 
 
 def build_layout(models, formula, k) -> VarLayout:
+    """Number the state bits of every trace of the prefix, step-major (see VarLayout)."""
     layout = VarLayout(bound=k, models={var: models[var] for _, var in formula.prefix})
+    nbits = {var: state_bit_count(len(models[var].states)) for _, var in formula.prefix}
+    ids = {var: [] for _, var in formula.prefix}
     next_id = 0
-    for quant, var in formula.prefix:
-        ids = []
-        nbits = state_bit_count(len(models[var].states))
-        for step in range(k + 1):
-            bits = list(range(next_id, next_id + nbits))
+    for step in range(k + 1):
+        for _, var in formula.prefix:
+            bits = list(range(next_id, next_id + nbits[var]))
             for j, vid in enumerate(bits):
                 layout.names[vid] = f"sb{j}_{var}_{step}"
             layout._sb_ids[(var, step)] = bits
-            ids.extend(bits)
-            next_id += nbits
-        layout.blocks.append((quant, var, ids))
+            ids[var].extend(bits)
+            next_id += nbits[var]
+    layout.blocks = [(quant, var, ids[var]) for quant, var in formula.prefix]
     return layout
 
 

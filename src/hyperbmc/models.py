@@ -9,6 +9,11 @@ from dataclasses import dataclass
 
 from .kripke import KripkeStructure, validate
 
+
+class ModelError(ValueError):
+    """Bad input to a generator or the formula library: map, variant, spec name."""
+
+
 # ---------------------------------------------------------------------------
 # Bakery mutual-exclusion algorithm
 
@@ -27,7 +32,7 @@ def gen_bakery(n: int) -> KripkeStructure:
     (propositions selectP<i>), `pause` marks the empty selection.
     """
     if n not in (2, 3):
-        raise ValueError("process count must be 2 or 3")
+        raise ModelError("process count must be 2 or 3")
     NONCRIT, WAIT, CRIT = 0, 1, 2
     status_char = {NONCRIT: "n", WAIT: "w", CRIT: "c"}
 
@@ -130,9 +135,9 @@ def gen_grid(width, height, obstacles, inits, goals) -> KripkeStructure:
     inits = list(dict.fromkeys(inits))
     goals = set(goals)
     if not inits or not goals:
-        raise ValueError("need at least one initial and one goal cell")
+        raise ModelError("need at least one initial and one goal cell")
     if (set(inits) | goals) & obstacles:
-        raise ValueError("initial and goal cells must not be obstacles")
+        raise ModelError("initial and goal cells must not be obstacles")
 
     def open_cell(c):
         x, y = c
@@ -140,10 +145,10 @@ def gen_grid(width, height, obstacles, inits, goals) -> KripkeStructure:
 
     for c in inits:
         if not open_cell(c):
-            raise ValueError(f"initial cell {c} outside the grid")
+            raise ModelError(f"initial cell {c} outside the grid")
     for c in goals:
         if not open_cell(c):
-            raise ValueError(f"goal cell {c} outside the grid")
+            raise ModelError(f"goal cell {c} outside the grid")
 
     def name(node):
         if node == "root":
@@ -221,7 +226,7 @@ def parse_grid_map(text: str):
     """
     rows = [line for line in text.splitlines() if line.strip()]
     if not rows:
-        raise ValueError("empty map")
+        raise ModelError("empty map")
     width = max(len(r) for r in rows)
     height = len(rows)
     obstacles, inits, goals = set(), [], set()
@@ -235,7 +240,7 @@ def parse_grid_map(text: str):
             elif ch == "G":
                 goals.add((x, y))
             elif ch not in ". ":
-                raise ValueError(f"bad map character {ch!r}")
+                raise ModelError(f"bad map character {ch!r}")
     return width, height, obstacles, inits, goals
 
 
@@ -279,7 +284,7 @@ def gen_nonrepudiation(variant: str) -> KripkeStructure:
     this model.
     """
     if variant not in ("correct", "incorrect"):
-        raise ValueError("variant must be 'correct' or 'incorrect'")
+        raise ModelError("variant must be 'correct' or 'incorrect'")
     correct = variant == "correct"
 
     def t_step(pc, m_t, nro_t, nrr_t):
@@ -534,12 +539,12 @@ _SPECS = {
 
 
 def builtin_spec(name: str) -> SpecEntry:
-    """Look up a built-in formula; raises KeyError listing known names."""
+    """Look up a built-in formula; raises ModelError listing known names."""
     try:
         return _SPECS[name]
     except KeyError:
         known = ", ".join(sorted(_SPECS))
-        raise KeyError(f"unknown spec {name!r}; known: {known}") from None
+        raise ModelError(f"unknown spec {name!r}; known: {known}") from None
 
 
 def spec_names():

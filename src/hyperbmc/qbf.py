@@ -1,22 +1,23 @@
 """Prenex QBF: representation, built-in solver, QCIR text format, external solvers.
 
-The built-in solver eliminates variables by expansion from the innermost
-block outward (AND of cofactors for a universal, OR for an existential),
-keeping the outermost block, then decides the residual propositional
-formula with a small unit-propagating DPLL over that block. That makes
-the outer witness (or countermodel) fall out of the search directly.
+The built-in solver decides a QBF on reduced ordered BDDs (bdd.py), with
+a variable's id as its level. It compiles the matrix circuit bottom-up,
+quantifying the innermost block on the way (see _compile), quantifies
+the remaining inner blocks on the resulting BDD, inner to outer, and is
+left with a BDD over the outer block. Its value is decided at once, and
+the outer witness (or countermodel) is that BDD's lowest path to the
+deciding terminal.
 """
 
 import os
 import re
 import shlex
 import subprocess
-import sys
 import tempfile
 from dataclasses import dataclass
 
 from . import circuit as ct
-from .circuit import Circuit, CircuitCapError
+from .circuit import Circuit
 
 DEFAULT_NODE_CAP = 50 * 10**6
 
@@ -88,144 +89,192 @@ def make_prenex(circuit, blocks, matrix, var_names) -> PrenexQBF:
     return PrenexQBF(circuit=circuit, blocks=tuple(merged), matrix=matrix, var_names=dict(var_names))
 
 
-def _dpll(circ, node, variables):
-    """Deterministic DPLL: lowest-numbered variable first, false before true.
+_PLAIN, _EXISTS, _FORALL = range(3)
 
-    Returns a satisfying assignment over all of `variables`, or None.
-    Unit propagation forces literal children of a conjunctive root, and
-    unsatisfiable residuals are cached by node id: hash consing makes a
-    node's satisfiability intrinsic, so converging branches are pruned.
+
+def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
+    """BDD of the circuit at root, with `variables` quantified by `quant` if given.
+
+    The quantifier is pushed down the circuit before any BDD is built: a
+    universal distributes over AND and an existential over OR, NOT flips
+    it, and children that do not mention `variables` stay outside it.
+    Where it stops (an existential over AND, a universal over OR), the
+    children that do mention them are joined and quantified in one
+    relational product. So a block's quantifier meets its own unrolling
+    and the body, never the unrollings of outer traces.
+
+    The circuit is walked twice without recursion: once to list each
+    (node, quantifier) pair below root in post-order with its children,
+    and once to build their BDDs. A pair's BDD is dropped as soon as its
+    last parent is built, and the arena is collected on the live ones.
     """
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 10000 + 20 * len(variables)))
-    unsat = set()
+    from . import bdd
 
-    def forced_literals(n):
-        lits = []
-        if circ.kinds[n] == ct.K_AND:
-            for c in circ.payloads[n]:
-                if circ.kinds[c] == ct.K_VAR:
-                    lits.append((circ.payloads[c], True))
-                elif circ.kinds[c] == ct.K_NOT and circ.kinds[circ.payloads[c]] == ct.K_VAR:
-                    lits.append((circ.payloads[circ.payloads[c]], False))
-        return lits
-
-    def search(n, idx):
-        if n == ct.TRUE:
-            return {}
-        if n == ct.FALSE or n in unsat:
-            return None
-        lits = forced_literals(n)
-        if lits:
-            m = n
-            out = {}
-            for v, val in lits:
-                m = circ.restrict(m, v, val)
-                out[v] = val
-            sub = search(m, idx)
-            if sub is None:
-                unsat.add(n)
-                return None
-            sub.update(out)
-            return sub
-        mask = circ.masks[n]
-        while idx < len(variables) and not (mask >> variables[idx]) & 1:
-            idx += 1
-        if idx == len(variables):
-            unsat.add(n)
-            return None
-        v = variables[idx]
-        lo, hi = circ.cofactors(n, v)
-        sub = search(lo, idx + 1)
-        if sub is not None:
-            sub[v] = False
-            return sub
-        if hi != lo:
-            sub = search(hi, idx + 1)
-            if sub is not None:
-                sub[v] = True
-                return sub
-        unsat.add(n)
-        return None
-
-    try:
-        assignment = search(node, 0)
-    finally:
-        # search refers to itself through its closure cell; emptying the cell
-        # frees the arena now instead of at the next cyclic collection
-        del search
-    if assignment is None:
-        return None
+    kinds, payloads, masks = circ.kinds, circ.payloads, circ.masks
+    qmask = 0
     for v in variables:
-        assignment.setdefault(v, False)
-    return assignment
+        qmask |= 1 << v
+    flip = (_PLAIN, _FORALL, _EXISTS)
+
+    def key_of(n, mode):
+        return 3 * n if mode == _PLAIN or not masks[n] & qmask else 3 * n + mode
+
+    kids = {}
+    order = []
+    stack = [(key_of(root, quant), False)]
+    while stack:
+        key, ready = stack.pop()
+        if ready:
+            order.append(key)
+            continue
+        if key in kids:
+            continue
+        n, mode = divmod(key, 3)
+        k = kinds[n]
+        if k == ct.K_NOT:
+            ks = (key_of(payloads[n], flip[mode]),)
+        elif mode == _PLAIN and _or_of_cubes(circ, n):
+            ks = ()  # built from the circuit in one pass
+        elif k in (ct.K_AND, ct.K_OR) and mode == (_FORALL if k == ct.K_AND else _EXISTS):
+            ks = tuple(key_of(c, mode) for c in payloads[n])
+        elif k in (ct.K_AND, ct.K_OR):
+            ks = tuple(3 * c for c in payloads[n])
+        else:
+            ks = ()
+        kids[key] = ks
+        stack.append((key, True))
+        stack.extend((c, False) for c in ks if c not in kids)
+
+    memo = {}
+
+    def build(key):
+        """BDD of one (node, quantifier) pair from its children's BDDs."""
+        n, mode = divmod(key, 3)
+        k = kinds[n]
+        ks = kids[key]
+        if k == ct.K_CONST:
+            return n
+        if k == ct.K_VAR:
+            if mode == _PLAIN:
+                return mgr.var(payloads[n])
+            return bdd.TRUE if mode == _EXISTS else bdd.FALSE
+        if k == ct.K_NOT:
+            return mgr.not_(memo[ks[0]])
+        op = bdd.AND if k == ct.K_AND else bdd.OR
+        if not ks:
+            return mgr.or_of_cubes(_cubes(circ, n))
+        if mode == _PLAIN or mode == (_FORALL if k == ct.K_AND else _EXISTS):
+            return mgr.join(op, [memo[c] for c in ks])
+        # The quantifier stops here: join the children that mention its
+        # variables, quantify them in one product, then add the others. The
+        # ones over its variables alone (the block's unrolling) are joined
+        # first, so the product meets the body once, as its last operand.
+        pure = [memo[c] for c in ks if masks[c // 3] & qmask and not masks[c // 3] & ~qmask]
+        mixed = [memo[c] for c in ks if masks[c // 3] & qmask and masks[c // 3] & ~qmask]
+        outside = [memo[c] for c in ks if not masks[c // 3] & qmask]
+        inside = pure + mixed
+        qop = bdd.OR if mode == _EXISTS else bdd.AND
+        node = mgr.quantify(op, qop, mgr.join(op, inside[:-1]), inside[-1], variables)
+        return mgr.join(op, [node, *outside])
+
+    refs = dict.fromkeys(kids, 0)
+    for ks in kids.values():
+        for c in ks:
+            refs[c] += 1
+    for key in order:
+        try:
+            node = build(key)
+        except bdd.NodeCapError:
+            # retry once with only the live nodes in the arena
+            mgr.collect(memo)
+            node = build(key)
+        memo[key] = node
+        for c in kids[key]:
+            refs[c] -= 1
+            if not refs[c]:
+                del memo[c]
+        mgr.maybe_collect(memo)
+    return memo[order[-1]]
 
 
-def _combine(circ, quant, lo, hi):
-    """Join the two cofactors of an eliminated variable, factoring shared parts.
+def _or_of_cubes(circ, n):
+    """Whether node n is an OR of conjunctions of literals.
 
-    (c & x) | (c & y) == c & (x | y) and (c | x) & (c | y) == c | (x & y);
-    without these the expansion loses all sharing between branches.
+    The encoder's label gates and per-step transition relations have this
+    shape: an OR of state-bit minterms.
     """
-    if lo == hi:
-        return lo
-    if quant == EXISTS:
-        inner, outer, gate_kind = circ.or_, circ.and_, ct.K_AND
-    else:
-        inner, outer, gate_kind = circ.and_, circ.or_, ct.K_OR
-    if circ.kinds[lo] == gate_kind and hi in circ.payloads[lo]:
-        return hi  # absorption: the stronger side is redundant
-    if circ.kinds[hi] == gate_kind and lo in circ.payloads[hi]:
-        return lo
-    if circ.kinds[lo] == gate_kind and circ.kinds[hi] == gate_kind:
-        a = set(circ.payloads[lo])
-        b = set(circ.payloads[hi])
-        common = a & b
-        if common:
-            rest_a = outer([n for n in circ.payloads[lo] if n not in common])
-            rest_b = outer([n for n in circ.payloads[hi] if n not in common])
-            return outer(list(common) + [inner([rest_a, rest_b])])
-    return inner([lo, hi])
+    kinds, payloads = circ.kinds, circ.payloads
+    if kinds[n] != ct.K_OR:
+        return False
+    for c in payloads[n]:
+        for x in payloads[c] if kinds[c] == ct.K_AND else (c,):
+            if kinds[x] != ct.K_VAR and (kinds[x] != ct.K_NOT or kinds[payloads[x]] != ct.K_VAR):
+                return False
+    return True
+
+
+def _cubes(circ, n):
+    """The cubes of an OR of conjunctions of literals: (var, value) pairs by var."""
+    kinds, payloads = circ.kinds, circ.payloads
+    cubes = []
+    for c in payloads[n]:
+        cube = []
+        for x in payloads[c] if kinds[c] == ct.K_AND else (c,):
+            if kinds[x] == ct.K_VAR:
+                cube.append((payloads[x], True))
+            else:
+                cube.append((payloads[payloads[x]], False))
+        cube.sort()
+        cubes.append(cube)
+    return cubes
 
 
 def solve(q: PrenexQBF, node_cap: int = DEFAULT_NODE_CAP) -> SolveResult:
     """Decide a prenex QBF; extract a witness for the outer block when one exists.
 
-    The outer witness is present iff the first block is existential and the
-    value is true, or the first block is universal and the value is false;
-    it then assigns every variable of that block (a model, respectively a
-    countermodel, of the outer block).
+    The matrix becomes a BDD over the outer block: the innermost block is
+    quantified while the circuit is compiled (see _compile), the blocks
+    between it and the outer one on the BDD, inner to outer. The outer
+    witness is present iff the first block is existential and the value
+    is true, or the first block is universal and the value is false; it
+    then assigns every variable of that block (a model, respectively a
+    countermodel, of the outer block): the lowest path of that BDD to
+    TRUE, respectively FALSE, with variables off the path false.
+    node_cap bounds the live BDD nodes.
     """
-    circ = q.circuit
-    matrix = q.matrix
     if not q.blocks:
-        return SolveResult(value=matrix == ct.TRUE, outer_witness=None)
+        return SolveResult(value=q.matrix == ct.TRUE, outer_witness=None)
+    # Imported here, not with this module: QCIR emission, external solvers
+    # and the other subcommands never need it, and it is compiled at each
+    # start-up where bytecode is not cached.
+    from . import bdd
 
-    inner = []
-    for quant, variables in q.blocks[1:]:
-        for v in variables:
-            inner.append((v, quant))
-    saved_cap = circ.node_cap
-    circ.node_cap = node_cap
+    mgr = bdd.BDD(node_cap)
     try:
-        for v, quant in reversed(inner):
-            lo, hi = circ.cofactors(matrix, v)
-            matrix = _combine(circ, quant, lo, hi)
-
-        outer_quant, outer_vars = q.blocks[0]
-        ordered = sorted(outer_vars)
-        if outer_quant == EXISTS:
-            assignment = _dpll(circ, matrix, ordered)
-            if assignment is None:
-                return SolveResult(value=False, outer_witness=None)
-            return SolveResult(value=True, outer_witness=assignment)
-        assignment = _dpll(circ, circ.not_(matrix), ordered)
-        if assignment is None:
-            return SolveResult(value=True, outer_witness=None)
-        return SolveResult(value=False, outer_witness=assignment)
-    except CircuitCapError as e:
+        if len(q.blocks) == 1:
+            f = _compile(q.circuit, mgr, q.matrix)
+        else:
+            quant, variables = q.blocks[-1]
+            mode = _EXISTS if quant == EXISTS else _FORALL
+            f = _compile(q.circuit, mgr, q.matrix, mode, variables)
+        for quant, variables in reversed(q.blocks[1:-1]):
+            eliminate = mgr.exists if quant == EXISTS else mgr.forall
+            pinned = {"f": f}
+            mgr.maybe_collect(pinned)
+            try:
+                f = eliminate(pinned["f"], variables)
+            except bdd.NodeCapError:
+                mgr.collect(pinned)
+                f = eliminate(pinned["f"], variables)
+    except bdd.NodeCapError as e:
         raise ResourceLimitError(e.nodes) from None
-    finally:
-        circ.node_cap = saved_cap
+    outer_quant, outer_vars = q.blocks[0]
+    target = bdd.TRUE if outer_quant == EXISTS else bdd.FALSE
+    if f == bdd.TRUE - target:
+        return SolveResult(value=outer_quant == FORALL, outer_witness=None)
+    witness = dict.fromkeys(sorted(outer_vars), False)
+    witness.update(mgr.path(f, target))
+    return SolveResult(value=outer_quant == EXISTS, outer_witness=witness)
 
 
 def _emit_names(q: PrenexQBF):

@@ -1,0 +1,123 @@
+import itertools
+import random
+
+import pytest
+
+from hyperbmc.bdd import AND, BDD, FALSE, OR, TRUE, NodeCapError
+from hyperbmc.circuit import Circuit
+from hyperbmc.qbf import EXISTS, ResourceLimitError, make_prenex, solve
+
+
+def evaluate(mgr, f, env):
+    while f > TRUE:
+        f = mgr.hi[f] if env[mgr.level[f]] else mgr.lo[f]
+    return f == TRUE
+
+
+def rand_expr(rng, n, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return ("var", rng.randrange(n))
+    kind = rng.choice(("not", "and", "or"))
+    if kind == "not":
+        return ("not", rand_expr(rng, n, depth - 1))
+    return (kind, rand_expr(rng, n, depth - 1), rand_expr(rng, n, depth - 1))
+
+
+def truth(e, env):
+    if e[0] == "var":
+        return env[e[1]]
+    if e[0] == "not":
+        return not truth(e[1], env)
+    a, b = truth(e[1], env), truth(e[2], env)
+    return a and b if e[0] == "and" else a or b
+
+
+def build(mgr, e):
+    if e[0] == "var":
+        return mgr.var(e[1])
+    if e[0] == "not":
+        return mgr.not_(build(mgr, e[1]))
+    return mgr.apply(AND if e[0] == "and" else OR, build(mgr, e[1]), build(mgr, e[2]))
+
+
+def test_operations_match_truth_tables():
+    rng = random.Random(7)
+    mgr = BDD()
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        e1, e2 = rand_expr(rng, n, 4), rand_expr(rng, n, 4)
+        f, g = build(mgr, e1), build(mgr, e2)
+        qvars = [v for v in range(n) if rng.random() < 0.5]
+        products = {
+            (op, qop): mgr.quantify(op, qop, f, g, qvars) for op in (AND, OR) for qop in (AND, OR)
+        }
+        for bits in itertools.product((False, True), repeat=n):
+            env = dict(enumerate(bits))
+            assert evaluate(mgr, f, env) == truth(e1, env)
+            for (op, qop), r in products.items():
+                values = []
+                for qbits in itertools.product((False, True), repeat=len(qvars)):
+                    env2 = {**env, **dict(zip(qvars, qbits))}
+                    a, b = truth(e1, env2), truth(e2, env2)
+                    values.append(a and b if op == AND else a or b)
+                assert evaluate(mgr, r, env) == (any(values) if qop == OR else all(values))
+
+
+def test_canonical_and_collect_keeps_pinned_functions():
+    mgr = BDD()
+    x, y = mgr.var(0), mgr.var(1)
+    nx, ny = mgr.not_(x), mgr.not_(y)
+    f = mgr.apply(OR, mgr.apply(AND, x, y), mgr.apply(AND, nx, ny))
+    g = mgr.not_(mgr.apply(OR, mgr.apply(AND, x, ny), mgr.apply(AND, nx, y)))
+    assert f == g  # equal functions share one handle
+    assert mgr.apply(OR, f, mgr.not_(f)) == TRUE
+    mgr.apply(AND, mgr.var(5), mgr.var(7))  # garbage
+    before = len(mgr)
+    pinned = {"f": f}
+    mgr.collect(pinned)
+    assert len(mgr) < before
+    for bits in itertools.product((False, True), repeat=2):
+        assert evaluate(mgr, pinned["f"], dict(enumerate(bits))) == (bits[0] == bits[1])
+    assert mgr.var(0) != pinned["f"]
+
+
+def test_lowest_path():
+    mgr = BDD()
+    # x0 | (x1 & x2): the least model is x0=0, x1=1, x2=1
+    f = mgr.apply(OR, mgr.var(0), mgr.apply(AND, mgr.var(1), mgr.var(2)))
+    assert mgr.path(f, TRUE) == {0: False, 1: True, 2: True}
+    assert mgr.path(f, FALSE) == {0: False, 1: False}
+
+
+def test_node_cap_counts_bdd_nodes():
+    # two terminals, ten variable nodes, and nine more for the cube above
+    # the last variable's node
+    def conjunction(cap):
+        mgr = BDD(node_cap=cap)
+        f = mgr.join(AND, [mgr.var(v) for v in range(10)])
+        return mgr, f
+
+    mgr, f = conjunction(21)
+    assert len(mgr) == 21
+    assert mgr.path(f, TRUE) == dict.fromkeys(range(10), True)
+    with pytest.raises(NodeCapError) as e:
+        conjunction(20)
+    assert e.value.nodes == 20
+
+
+def test_solve_node_cap_is_in_bdd_nodes():
+    # x_i <-> x_(i+8) for i < 8: a small circuit whose BDD under the id
+    # order needs hundreds of nodes
+    c = Circuit()
+    parts = []
+    for i in range(8):
+        a, b = c.var(i), c.var(i + 8)
+        parts.append(c.or_([c.and_([a, b]), c.and_([c.not_(a), c.not_(b)])]))
+    q = make_prenex(c, [(EXISTS, tuple(range(16)))], c.and_(parts), {})
+    assert len(c) < 100
+    with pytest.raises(ResourceLimitError) as e:
+        solve(q, node_cap=200)
+    assert e.value.nodes == 200
+    r = solve(q, node_cap=5000)
+    assert r.value is True
+    assert r.outer_witness == {v: False for v in range(16)}

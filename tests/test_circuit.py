@@ -1,6 +1,5 @@
 import itertools
 
-from hyperbmc import circuit as ct
 from hyperbmc.circuit import FALSE, TRUE, Circuit
 
 
@@ -73,14 +72,3 @@ def test_support_masks():
     assert c.support(f) == {3, 7}
     assert c.support(TRUE) == set()
     assert c.restrict(f, 5, True) == f  # untouched variable
-
-
-def test_node_cap():
-    c = Circuit(node_cap=8)
-    try:
-        for i in range(10):
-            c.var(i)
-    except ct.CircuitCapError as e:
-        assert e.nodes == 8
-    else:
-        raise AssertionError("cap not enforced")

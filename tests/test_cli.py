@@ -63,6 +63,7 @@ def test_check_json_schema(capsys, model_file):
     assert payload["k"] == 1
     assert payload["qbf_value"] is True
     assert payload["witness"] == {"A": [["a"], ["a"]]}
+    assert payload["witness_status"] == "verified"
     assert code == 0
 
 
@@ -208,3 +209,28 @@ def test_internal_error_exits_software(capsys, model_file, monkeypatch):
     assert code == 70
     assert out == ""
     assert err == "error: internal error: RuntimeError: simulated internal fault\n"
+
+
+def test_stray_lookup_error_is_internal(capsys, model_file, monkeypatch):
+    # only the project's own input errors exit 65; a KeyError is a bug
+    from hyperbmc import driver
+
+    def boom(cfg):
+        raise KeyError("simulated lookup fault")
+
+    monkeypatch.setattr(driver, "check", boom)
+    code, out, err = run(
+        capsys, "check", "--formula", "exists A. a[A]", "--model-default", model_file, "-k", "1"
+    )
+    assert code == 70
+    assert out == ""
+    assert err.startswith("error: internal error: KeyError:")
+
+
+
+def test_undecodable_model_is_data_error(capsys, tmp_path):
+    bad = tmp_path / "bad.kr"
+    bad.write_bytes(b"ap a; states \xff;\n")
+    code, _, err = run(capsys, "check", "--formula", "exists A. a[A]", "--model-default", str(bad), "-k", "1")
+    assert code == 65
+    assert err.startswith("error: ")

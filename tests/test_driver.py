@@ -75,6 +75,28 @@ def test_one_state_outer_trace_reports_witness():
     assert v.witness["A"].states == ("s0",)
 
 
+def test_witness_status(monkeypatch):
+    f = parse_formula("exists A. forall B. F (a[A] & !a[B])")
+    cfg = CheckConfig(
+        formula=f, models={"A": AB_STATE, "B": CHAIN}, k_from=0, k_max=3,
+        semantics=oracle.PES,
+    )
+    v = check(cfg)
+    assert (v.interpretation, v.witness_status) == (HOLDS, "verified")
+    # the explosion guard stops the re-check (B has one prefix, the cap is
+    # now below it): same verdict, witness withheld
+    monkeypatch.setattr(oracle, "ENUMERATION_CAP", 0)
+    v = check(cfg)
+    assert (v.interpretation, v.k, v.qbf_value) == (HOLDS, 2, True)
+    assert v.witness is None
+    assert v.witness_status == "unverified"
+    # a universal outer quantifier never reports a witness
+    v = check(CheckConfig(formula=parse_formula("forall A. a[A]"), models={"A": CHAIN},
+                          k_from=0, k_max=1, semantics=oracle.PES))
+    assert v.witness is None
+    assert v.witness_status is None
+
+
 def test_prove_mode_stays_unknown_for_safety_body():
     # the negated formula is an eventuality, optimistically always fulfilled,
     # so no bound is conclusive

@@ -154,7 +154,10 @@ def test_layout_order_and_names():
     )
     a_ids = layout.block_ids("A")
     b_ids = layout.block_ids("B")
-    assert max(a_ids) < min(b_ids)  # block order equals prefix order
+    # ids are step-major: step, then trace in prefix order, then bit
+    assert layout.sb_ids("A", 0) + layout.sb_ids("B", 0) == [0, 1, 2]
+    assert layout.sb_ids("A", 1) + layout.sb_ids("B", 1) == [3, 4, 5]
+    assert [v for _, v, _ in layout.blocks] == ["A", "B", "C"]  # blocks in prefix order
     # only state bits: within a block, step, then bit (least significant first)
     assert [layout.names[v] for v in a_ids] == ["sb0_A_0", "sb1_A_0", "sb0_A_1", "sb1_A_1"]
     assert [layout.names[v] for v in b_ids] == ["sb0_B_0", "sb0_B_1"]

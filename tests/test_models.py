@@ -8,6 +8,7 @@ from hyperbmc.driver import FAILS, HOLDS, CheckConfig, check
 from hyperbmc.hyperltl import normalize, parse_formula
 from hyperbmc.kripke import parse_kripke, validate
 from hyperbmc.models import (
+    ModelError,
     PAPER_GRID_10,
     builtin_spec,
     gen_bakery,
@@ -255,7 +256,7 @@ def test_every_spec_parses_and_normalizes():
 
 
 def test_unknown_spec_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(ModelError):
         builtin_spec("nope")
 
 

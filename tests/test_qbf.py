@@ -1,4 +1,5 @@
 import stat
+import sys
 
 import pytest
 
@@ -295,3 +296,78 @@ def test_witness_substitution_random(rng):
         rest = mk(c, q.blocks[1:], m, q.var_names)
         assert solve(rest).value is r.value
     assert checked >= 40
+
+
+def rand_guarded_prenex(rng):
+    """2-3 blocks chained the way assemble_qbf chains trace unrollings.
+
+    Each block gets a guard over its own variables, entering the matrix
+    with AND under an existential and as an implication under a
+    universal; the body negates whole gates, not only variables, so the
+    solver's quantifier has to flip under NOT on its way down.
+    """
+    c = Circuit()
+    blocks = []
+    at = 0
+    for _ in range(rng.randint(2, 3)):
+        size = rng.randint(1, 3)
+        quant = rng.choice([EXISTS, FORALL]) if not blocks else (
+            FORALL if blocks[-1][0] == EXISTS else EXISTS
+        )
+        blocks.append((quant, tuple(range(at, at + size))))
+        at += size
+
+    def build(depth, variables):
+        if depth == 0 or rng.random() < 0.2:
+            v = c.var(rng.choice(variables))
+            return c.not_(v) if rng.random() < 0.3 else v
+        node = (c.and_ if rng.random() < 0.5 else c.or_)(
+            [build(depth - 1, variables) for _ in range(rng.randint(2, 3))]
+        )
+        return c.not_(node) if rng.random() < 0.4 else node
+
+    matrix = build(rng.randint(2, 4), list(range(at)))
+    for quant, variables in reversed(blocks):
+        guard = build(rng.randint(1, 2), list(variables))
+        matrix = c.and_([guard, matrix]) if quant == EXISTS else c.implies(guard, matrix)
+    return make_prenex(c, blocks, matrix, {v: f"x{v}" for v in range(at)})
+
+
+def test_guarded_blocks_agree_with_naive_evaluator(rng):
+    witnesses = 0
+    for _ in range(600):
+        q = rand_guarded_prenex(rng)
+        r = solve(q)
+        want = naive_qbf(q.blocks, lambda env: q.circuit.evaluate(q.matrix, env))
+        assert r.value == want
+        quant, variables = q.blocks[0]
+        if r.outer_witness is None:
+            assert (quant == EXISTS) != r.value
+            continue
+        witnesses += 1
+        assert set(r.outer_witness) == set(variables)
+        m = q.matrix
+        for v, val in r.outer_witness.items():
+            m = q.circuit.restrict(m, v, val)
+        rest = make_prenex(q.circuit, q.blocks[1:], m, q.var_names)
+        assert solve(rest).value is r.value
+    assert witnesses >= 100
+
+
+def test_deep_bound_keeps_recursion_limit():
+    from hyperbmc import oracle
+    from hyperbmc.driver import UNKNOWN, CheckConfig, check
+    from hyperbmc.hyperltl import parse_formula
+    from hyperbmc.kripke import parse_kripke
+
+    complete = parse_kripke(
+        "ap a; states s0 s1; init s0; label s0 {a}; label s1 {}; "
+        "trans s0 -> s0; trans s0 -> s1; trans s1 -> s0; trans s1 -> s1;"
+    )
+    limit = sys.getrecursionlimit()
+    v = check(CheckConfig(
+        formula=parse_formula("forall A. exists B. G (a[A] <-> a[B])"),
+        models={"A": complete, "B": complete}, k_from=200, k_max=200, semantics=oracle.OPT,
+    ))
+    assert (v.k, v.qbf_value, v.interpretation) == (200, True, UNKNOWN)
+    assert sys.getrecursionlimit() == limit
