@@ -9,6 +9,10 @@ functions are: a BDD is FALSE or TRUE exactly when its handle is.
 
 Every operation is a loop over an explicit stack, so neither the number
 of variables nor the depth of a BDD meets the Python recursion limit.
+relocate() copies a BDD onto variables a constant distance away. The
+shift keeps the order of the levels, so the copy is reduced and ordered
+without any apply: a caller builds a function that repeats at every step
+once and relocates it to the other steps.
 Dead nodes stay in the arena until collect(), a mark-compact pass from
 the roots a caller pins; it renumbers the survivors, so a caller runs it
 between operations, never inside one. node_cap bounds the arena and
@@ -155,6 +159,9 @@ class BDD:
         Literals (single-node BDDs) are chained into one cube or clause
         bottom-up, without apply: a conjunction of n literals taken one
         by one in arbitrary order would rebuild its path up to n times.
+        The other operands follow deepest first (by top level, bottom
+        up), so each apply walks the new operand down to a result that
+        mostly lies below it, not the whole result again.
         """
         zero, unit = (FALSE, TRUE) if op == AND else (TRUE, FALSE)
         level, lo, hi = self.level, self.lo, self.hi
@@ -176,6 +183,7 @@ class BDD:
                 return zero
             prev = v
             node = self._mk(v, node if lo[f] == unit else zero, node if hi[f] == unit else zero)
+        rest.sort(key=level.__getitem__, reverse=True)
         for f in rest:
             node = self.apply(op, node, f)
         return node
@@ -199,6 +207,32 @@ class BDD:
                 children.setdefault(bits[:-1], [FALSE, FALSE])[bits[-1]] = node
             layer = {p: l if l == h else self._mk(v, l, h) for p, (l, h) in children.items()}
         return layer.get((), FALSE)
+
+    def relocate(self, f, shift):
+        """f with every level moved by `shift`: the same function of the shifted variables.
+
+        A constant shift keeps the order of the levels, so the copy is
+        reduced and ordered as it stands; each node is made once, bottom up.
+        """
+        if f <= TRUE or shift == 0:
+            return f
+        level, lo, hi, mk = self.level, self.lo, self.hi, self._mk
+        new = {FALSE: FALSE, TRUE: TRUE}
+        todo = [f]
+        while todo:
+            x = todo[-1]
+            l, h = lo[x], hi[x]
+            if x in new:
+                todo.pop()
+            elif l in new and h in new:
+                todo.pop()
+                v = level[x] + shift
+                self._reserve(v)
+                new[x] = mk(v, new[l], new[h])
+            else:
+                todo.append(h)
+                todo.append(l)
+        return new[f]
 
     def literal(self, v, value):
         x = self.var(v)

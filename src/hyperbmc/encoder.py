@@ -4,9 +4,11 @@ Each trace variable gets one quantifier block holding, per step, its
 ceil(log2 |S|) state bits, which spell a state index. Propositions and the
 reserved @halt proposition are not variables: at each (trace, step) each
 one is a gate, the disjunction of the state-bit minterms of the states
-that carry it. The body encoding reads these gates; hash consing makes
-each (trace, step, state) minterm one node, built once for the transition
-relation and shared by every gate that reads it.
+that carry it. The body encoding reads these gates. Each (trace, step,
+state) minterm is built once per encoding: assemble_qbf owns a memo of
+them that the transition relations and every gate share, and drops it
+when it returns. Hash consing alone would store each minterm once but
+rebuild it at every use.
 """
 
 import math
@@ -79,16 +81,26 @@ def build_layout(models, formula, k) -> VarLayout:
     return layout
 
 
-def at(circ: Circuit, layout, var, step, idx) -> int:
-    """Minterm: the state bits of (var, step) spell state index idx."""
+def at(circ: Circuit, layout, var, step, idx, minterms=None) -> int:
+    """Minterm: the state bits of (var, step) spell state index idx.
+
+    With a dict `minterms`, each minterm is built on first use and looked
+    up there afterwards.
+    """
+    key = (var, step, idx)
+    if minterms is not None and key in minterms:
+        return minterms[key]
     lits = []
     for j, bit in enumerate(layout.sb_ids(var, step)):
         v = circ.var(bit)
         lits.append(v if (idx >> j) & 1 else circ.not_(v))
-    return circ.and_(lits)
+    node = circ.and_(lits)
+    if minterms is not None:
+        minterms[key] = node
+    return node
 
 
-def label_gate(circ: Circuit, layout, var, step, ap) -> int:
+def label_gate(circ: Circuit, layout, var, step, ap, minterms=None) -> int:
     """Gate for proposition ap (or @halt) of trace var at step.
 
     The disjunction of the minterms of the states that carry it. On codes
@@ -104,10 +116,10 @@ def label_gate(circ: Circuit, layout, var, step, ap) -> int:
         carries = [ap in structure.labels[s] for s in structure.states]
     else:
         raise EncodeError(f"proposition {ap!r} not declared for trace variable {var!r}")
-    return circ.or_([at(circ, layout, var, step, i) for i, c in enumerate(carries) if c])
+    return circ.or_([at(circ, layout, var, step, i, minterms) for i, c in enumerate(carries) if c])
 
 
-def unroll_structure(structure, var, k, layout, circ: Circuit) -> int:
+def unroll_structure(structure, var, k, layout, circ: Circuit, minterms=None) -> int:
     """Circuit over var's block that holds exactly on encodings of its paths.
 
     A satisfying assignment fixes the step-0 state bits to the initial
@@ -120,37 +132,41 @@ def unroll_structure(structure, var, k, layout, circ: Circuit) -> int:
     the guard is false, which is why the label gates may read false on
     codes that name no state.
     """
+    if minterms is None:
+        minterms = {}
     index = {s: i for i, s in enumerate(structure.states)}
-    parts = [at(circ, layout, var, 0, index[structure.init])]
+    parts = [at(circ, layout, var, 0, index[structure.init], minterms)]
     edges = sorted((index[s], index[d]) for s, d in structure.trans)
     for step in range(k):
         parts.append(circ.or_(
-            [circ.and_([at(circ, layout, var, step, s), at(circ, layout, var, step + 1, d)])
+            [circ.and_([at(circ, layout, var, step, s, minterms),
+                        at(circ, layout, var, step + 1, d, minterms)])
              for s, d in edges]
         ))
     return circ.and_(parts)
 
 
-def encode_body(body, k, sem, layout, circ: Circuit, paper_literal=False) -> int:
-    """Fixpoint expansion of an NNF body at step 0, memoized on (node, step)."""
+def encode_body(body, k, sem, layout, circ: Circuit, paper_literal=False, minterms=None) -> int:
+    """Fixpoint expansion of an NNF body at step 0, memoized on (node, step).
+
+    Each (node, step) pair is encoded by a generator that yields the pairs
+    it needs and receives their nodes. A loop over an explicit stack of
+    these generators runs them in the order a recursion would, so the
+    circuit is built node for node in the same order, but neither the
+    bound nor the depth of the formula meets the recursion limit.
+    """
+    if minterms is None:
+        minterms = {}
     memo = {}
     gates = {}
 
     def label(var, i, ap):
         key = (var, i, ap)
         if key not in gates:
-            gates[key] = label_gate(circ, layout, var, i, ap)
+            gates[key] = label_gate(circ, layout, var, i, ap, minterms)
         return gates[key]
 
     halted_k = circ.and_([label(v, k, HALT_AP) for v in layout.trace_vars()])
-
-    def enc(b, i):
-        key = (b, i)
-        if key in memo:
-            return memo[key]
-        node = _enc(b, i)
-        memo[key] = node
-        return node
 
     def _enc(b, i):
         if isinstance(b, hl.Const):
@@ -159,44 +175,44 @@ def encode_body(body, k, sem, layout, circ: Circuit, paper_literal=False) -> int
             v = label(b.var, i, b.ap)
             return v if isinstance(b, hl.Atom) else circ.not_(v)
         if isinstance(b, hl.And):
-            return circ.and_([enc(b.left, i), enc(b.right, i)])
+            return circ.and_([(yield b.left, i), (yield b.right, i)])
         if isinstance(b, hl.Or):
-            return circ.or_([enc(b.left, i), enc(b.right, i)])
+            return circ.or_([(yield b.left, i), (yield b.right, i)])
 
         if isinstance(b, hl.Next):
             if i < k:
-                return enc(b.sub, i + 1)
+                return (yield b.sub, i + 1)
             # at the bound, i+1 falls off the unrolling
             if sem in (oracle.PES, oracle.CLASSIC):
                 return ct.FALSE
             if sem in (oracle.OPT, oracle.CLASSIC_DUAL):
                 return ct.TRUE
-            return _halting(enc(b.sub, k))
+            return _halting((yield b.sub, k))
         if isinstance(b, hl.Until):
             if i < k:
-                return circ.or_([enc(b.right, i), circ.and_([enc(b.left, i), enc(b, i + 1)])])
+                return circ.or_([(yield b.right, i), circ.and_([(yield b.left, i), (yield b, i + 1)])])
             if sem == oracle.PES:
                 return ct.FALSE
             if sem == oracle.OPT:
                 return ct.TRUE
             if sem == oracle.CLASSIC:
-                return enc(b.right, k)
+                return (yield b.right, k)
             if sem == oracle.CLASSIC_DUAL:
-                return circ.or_([enc(b.right, k), enc(b.left, k)])
-            return _halting(enc(b.right, k))
+                return circ.or_([(yield b.right, k), (yield b.left, k)])
+            return _halting((yield b.right, k))
         if isinstance(b, hl.Release):
             if i < k:
-                return circ.and_([enc(b.right, i), circ.or_([enc(b.left, i), enc(b, i + 1)])])
+                return circ.and_([(yield b.right, i), circ.or_([(yield b.left, i), (yield b, i + 1)])])
             if sem == oracle.PES:
                 return ct.FALSE
             if sem == oracle.OPT:
                 return ct.TRUE
             if sem == oracle.CLASSIC:
-                return circ.and_([enc(b.right, k), enc(b.left, k)])
+                return circ.and_([(yield b.right, k), (yield b.left, k)])
             if sem == oracle.CLASSIC_DUAL:
-                return enc(b.right, k)
+                return (yield b.right, k)
             arm = b.left if paper_literal else b.right
-            return _halting(enc(arm, k))
+            return _halting((yield arm, k))
         raise EncodeError(f"body not in NNF core: {b!r}")
 
     def _halting(arm):
@@ -206,7 +222,20 @@ def encode_body(body, k, sem, layout, circ: Circuit, paper_literal=False) -> int
             return circ.or_([circ.not_(halted_k), arm])
         raise EncodeError(f"unknown semantics {sem!r}")
 
-    return enc(body, 0)
+    stack = [((body, 0), _enc(body, 0))]
+    sent = None
+    while stack:
+        key, gen = stack[-1]
+        try:
+            need = gen.send(sent)
+        except StopIteration as done:
+            stack.pop()
+            sent = memo[key] = done.value
+            continue
+        sent = memo.get(need)
+        if sent is None:
+            stack.append((need, _enc(*need)))
+    return sent
 
 
 def assemble_qbf(formula, models, k, sem, paper_literal=False, layout=None) -> PrenexQBF:
@@ -221,9 +250,10 @@ def assemble_qbf(formula, models, k, sem, paper_literal=False, layout=None) -> P
     circ = Circuit()
     if layout is None:
         layout = build_layout(models, formula, k)
-    matrix = encode_body(formula.body, k, sem, layout, circ, paper_literal)
+    minterms = {}
+    matrix = encode_body(formula.body, k, sem, layout, circ, paper_literal, minterms)
     for quant, var in reversed(formula.prefix):
-        unrolled = unroll_structure(models[var], var, k, layout, circ)
+        unrolled = unroll_structure(models[var], var, k, layout, circ, minterms)
         if quant == hl.EXISTS:
             matrix = circ.and_([unrolled, matrix])
         else:

@@ -103,6 +103,10 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     relational product. So a block's quantifier meets its own unrolling
     and the body, never the unrollings of outer traces.
 
+    An OR of cubes (see _shape) is built once per shape, at base 0, and
+    relocated to each gate of that shape: the encoder repeats every label
+    gate and transition relation at each step, a constant distance apart.
+
     The circuit is walked twice without recursion: once to list each
     (node, quantifier) pair below root in post-order with its children,
     and once to build their BDDs. A pair's BDD is dropped as soon as its
@@ -120,6 +124,8 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         return 3 * n if mode == _PLAIN or not masks[n] & qmask else 3 * n + mode
 
     kids = {}
+    gates = {}  # key -> (shape, base) of the ORs of cubes
+    shapes = {}
     order = []
     stack = [(key_of(root, quant), False)]
     while stack:
@@ -133,8 +139,10 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         k = kinds[n]
         if k == ct.K_NOT:
             ks = (key_of(payloads[n], flip[mode]),)
-        elif mode == _PLAIN and _or_of_cubes(circ, n):
-            ks = ()  # built from the circuit in one pass
+        elif mode == _PLAIN and (gate := _shape(circ, n)) is not None:
+            shape, base = gate
+            gates[key] = (shapes.setdefault(shape, shape), base)  # one copy per shape
+            ks = ()
         elif k in (ct.K_AND, ct.K_OR) and mode == (_FORALL if k == ct.K_AND else _EXISTS):
             ks = tuple(key_of(c, mode) for c in payloads[n])
         elif k in (ct.K_AND, ct.K_OR):
@@ -145,6 +153,9 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         stack.append((key, True))
         stack.extend((c, False) for c in ks if c not in kids)
 
+    # memo holds the BDDs of the live (node, quantifier) pairs and, under
+    # each shape of OR of cubes, that shape's BDD at base 0, which every
+    # gate of the shape relocates; collections keep and renumber both.
     memo = {}
 
     def build(key):
@@ -160,9 +171,14 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
             return bdd.TRUE if mode == _EXISTS else bdd.FALSE
         if k == ct.K_NOT:
             return mgr.not_(memo[ks[0]])
+        if key in gates:
+            shape, base = gates[key]
+            if shape not in memo:
+                memo[shape] = mgr.or_of_cubes(
+                    [[(code >> 1, code & 1) for code in codes] for codes in shape]
+                )
+            return mgr.relocate(memo[shape], base)
         op = bdd.AND if k == ct.K_AND else bdd.OR
-        if not ks:
-            return mgr.or_of_cubes(_cubes(circ, n))
         if mode == _PLAIN or mode == (_FORALL if k == ct.K_AND else _EXISTS):
             return mgr.join(op, [memo[c] for c in ks])
         # The quantifier stops here: join the children that mention its
@@ -197,36 +213,32 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     return memo[order[-1]]
 
 
-def _or_of_cubes(circ, n):
-    """Whether node n is an OR of conjunctions of literals.
+def _shape(circ, n):
+    """(shape, base) of node n if it is an OR of conjunctions of literals, else None.
 
     The encoder's label gates and per-step transition relations have this
-    shape: an OR of state-bit minterms.
+    form: ORs of state-bit minterms. base is the gate's least variable; a
+    literal of variable v with value b has the code 2 * (v - base) + b, and
+    the shape is the set of the cubes' sorted codes. So two gates of one
+    shape are the same function of variables a constant distance apart.
     """
     kinds, payloads = circ.kinds, circ.payloads
     if kinds[n] != ct.K_OR:
-        return False
-    for c in payloads[n]:
-        for x in payloads[c] if kinds[c] == ct.K_AND else (c,):
-            if kinds[x] != ct.K_VAR and (kinds[x] != ct.K_NOT or kinds[payloads[x]] != ct.K_VAR):
-                return False
-    return True
-
-
-def _cubes(circ, n):
-    """The cubes of an OR of conjunctions of literals: (var, value) pairs by var."""
-    kinds, payloads = circ.kinds, circ.payloads
+        return None
     cubes = []
     for c in payloads[n]:
-        cube = []
+        codes = []
         for x in payloads[c] if kinds[c] == ct.K_AND else (c,):
             if kinds[x] == ct.K_VAR:
-                cube.append((payloads[x], True))
+                codes.append(2 * payloads[x] + 1)
+            elif kinds[x] == ct.K_NOT and kinds[payloads[x]] == ct.K_VAR:
+                codes.append(2 * payloads[payloads[x]])
             else:
-                cube.append((payloads[payloads[x]], False))
-        cube.sort()
-        cubes.append(cube)
-    return cubes
+                return None
+        codes.sort()
+        cubes.append(codes)
+    base = min(codes[0] for codes in cubes) >> 1
+    return frozenset(tuple(code - 2 * base for code in codes) for codes in cubes), base
 
 
 def solve(q: PrenexQBF, node_cap: int = DEFAULT_NODE_CAP) -> SolveResult:

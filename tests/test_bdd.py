@@ -121,3 +121,70 @@ def test_solve_node_cap_is_in_bdd_nodes():
     r = solve(q, node_cap=5000)
     assert r.value is True
     assert r.outer_witness == {v: False for v in range(16)}
+
+
+def shifted(e, d):
+    if e[0] == "var":
+        return ("var", e[1] + d)
+    return (e[0], *(shifted(x, d) for x in e[1:]))
+
+
+def test_join_is_independent_of_operand_order():
+    rng = random.Random(11)
+    mgr = BDD()
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        operands = [build(mgr, rand_expr(rng, n, 3)) for _ in range(rng.randint(1, 5))]
+        operands += [mgr.literal(rng.randrange(n), rng.random() < 0.5) for _ in range(rng.randint(0, 3))]
+        for op in (AND, OR):
+            folded = TRUE if op == AND else FALSE
+            for f in operands:
+                folded = mgr.apply(op, folded, f)
+            for _ in range(4):
+                rng.shuffle(operands)
+                assert mgr.join(op, operands) == folded
+
+
+def test_relocate_matches_direct_build_across_collect():
+    rng = random.Random(5)
+    mgr = BDD()
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        e = rand_expr(rng, n, 4)
+        pinned = {"f": build(mgr, e)}
+        for d in (0, 3, rng.randint(1, 40)):
+            assert mgr.relocate(pinned["f"], d) == build(mgr, shifted(e, d))
+            mgr.apply(AND, mgr.var(60), mgr.var(61))  # garbage for the collection
+            mgr.collect(pinned)
+            g = mgr.relocate(pinned["f"], d)
+            for bits in itertools.product((False, True), repeat=n):
+                env = dict(enumerate(bits))
+                assert evaluate(mgr, g, {v + d: b for v, b in env.items()}) == truth(e, env)
+
+
+def test_compile_keeps_shapes_across_collections(monkeypatch):
+    # x_i <-> x_(i+1) at every i: one shape of OR of cubes, built once and
+    # relocated per i, with the arena collected after every gate, so each
+    # relocation reads the shape's BDD under a new handle
+    from hyperbmc.qbf import _compile
+
+    collections = []
+
+    def always_collect(self, pinned):
+        collections.append(len(self))
+        self.collect(pinned)
+
+    monkeypatch.setattr(BDD, "maybe_collect", always_collect)
+    c = Circuit()
+    x = [c.var(v) for v in range(10)]
+    gates = [
+        c.or_([c.and_([x[i], x[i + 1]]), c.and_([c.not_(x[i]), c.not_(x[i + 1])])])
+        for i in range(9)
+    ]
+    root = c.or_([c.and_(gates[:5]), c.and_([gates[5], gates[8], c.not_(gates[6])])])
+    mgr = BDD()
+    f = _compile(c, mgr, root)
+    assert len(collections) > 9
+    for bits in itertools.product((False, True), repeat=10):
+        env = dict(enumerate(bits))
+        assert evaluate(mgr, f, env) == c.evaluate(root, env)

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 from hyperbmc import circuit as ct
 from hyperbmc import hyperltl as hl
@@ -144,6 +147,37 @@ def test_assemble_single_quantifier():
     assert q.blocks == ()
     assert q.matrix == ct.TRUE
     assert solve(q).value is True
+
+
+ENCODINGS = {
+    "chain": ("exists A. forall B. (a[A] U !a[B])", "CHAIN", 2, oracle.PES),
+    "three": ("forall A. exists B. G (a[A] <-> a[B])", "THREE", 3, oracle.OPT),
+}
+
+
+def encoding(name):
+    """The circuit, matrix and blocks of one ENCODINGS entry, as text."""
+    text, model, k, sem = ENCODINGS[name]
+    m = globals()[model]
+    q = assemble_qbf(normalize(parse_formula(text)), {"A": m, "B": m}, k, sem)
+    return repr((q.circuit.kinds, q.circuit.payloads, q.matrix, q.blocks))
+
+
+def test_assemble_shares_nothing_between_encodings():
+    # each encoding must come out node for node as in a fresh process,
+    # whatever was encoded before it in this one
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hl.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    fresh = {
+        name: subprocess.run(
+            [sys.executable, "-c", f"import test_encoder; print(test_encoder.encoding({name!r}))"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        for name in ENCODINGS
+    }
+    for name in ("chain", "three", "chain"):
+        assert encoding(name) == fresh[name], name
 
 
 def test_layout_order_and_names():

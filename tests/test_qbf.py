@@ -1,3 +1,4 @@
+import itertools
 import stat
 import sys
 
@@ -354,7 +355,8 @@ def test_guarded_blocks_agree_with_naive_evaluator(rng):
     assert witnesses >= 100
 
 
-def test_deep_bound_keeps_recursion_limit():
+def _check_ae_on_complete_model(k):
+    """The ∀∃ formula on the complete 2-state model under opt, at bound k only."""
     from hyperbmc import oracle
     from hyperbmc.driver import UNKNOWN, CheckConfig, check
     from hyperbmc.hyperltl import parse_formula
@@ -367,7 +369,42 @@ def test_deep_bound_keeps_recursion_limit():
     limit = sys.getrecursionlimit()
     v = check(CheckConfig(
         formula=parse_formula("forall A. exists B. G (a[A] <-> a[B])"),
-        models={"A": complete, "B": complete}, k_from=200, k_max=200, semantics=oracle.OPT,
+        models={"A": complete, "B": complete}, k_from=k, k_max=k, semantics=oracle.OPT,
     ))
-    assert (v.k, v.qbf_value, v.interpretation) == (200, True, UNKNOWN)
+    assert (v.k, v.qbf_value, v.interpretation) == (k, True, UNKNOWN)
     assert sys.getrecursionlimit() == limit
+
+
+def test_deep_bound_keeps_recursion_limit():
+    _check_ae_on_complete_model(200)
+
+
+def test_encoder_deep_bound_keeps_recursion_limit():
+    # the body's fixpoint expansion nests k deep; it once recursed and
+    # overflowed the default limit near k=500
+    _check_ae_on_complete_model(500)
+
+
+def test_or_of_cubes_shape_compares_variable_placement():
+    # xnor(0, 2) and xnor(4, 5) both have two cubes of two literals with
+    # the same values, but their variables sit 2 and 1 apart: a shape key
+    # that compared only cube lengths and values would relocate one onto
+    # the other. xnor(1, 3) is a true copy of xnor(0, 2), one level down.
+    from hyperbmc import bdd
+    from hyperbmc.qbf import _compile
+
+    c = Circuit()
+    x = [c.var(v) for v in range(7)]
+
+    def xnor(a, b):
+        return c.or_([c.and_([x[a], x[b]]), c.and_([c.not_(x[a]), c.not_(x[b])])])
+
+    root = c.and_([xnor(0, 2), c.or_([xnor(4, 5), x[6]]), xnor(1, 3)])
+    mgr = bdd.BDD()
+    f = _compile(c, mgr, root)
+    for bits in itertools.product((False, True), repeat=7):
+        env = dict(enumerate(bits))
+        g = f
+        while g > bdd.TRUE:
+            g = mgr.hi[g] if env[mgr.level[g]] else mgr.lo[g]
+        assert (g == bdd.TRUE) == c.evaluate(root, env)
