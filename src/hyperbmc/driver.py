@@ -123,7 +123,9 @@ def _validate_config(cfg: CheckConfig):
 
 def _validate_aps(formula, models):
     used = {}
-    _collect_atoms(formula.body, used)
+    for b in hl.walk(formula.body):
+        if isinstance(b, (hl.Atom, hl.NegAtom)):
+            used.setdefault(b.var, set()).add(b.ap)
     for var, aps in used.items():
         declared = set(models[var].aps)
         for ap in sorted(aps):
@@ -132,16 +134,6 @@ def _validate_aps(formula, models):
                     f"formula mentions {ap!r} on trace variable {var!r}, "
                     f"which its model does not declare"
                 )
-
-
-def _collect_atoms(body, out):
-    if isinstance(body, (hl.Atom, hl.NegAtom)):
-        out.setdefault(body.var, set()).add(body.ap)
-    elif isinstance(body, (hl.Not, hl.Next, hl.Eventually, hl.Always)):
-        _collect_atoms(body.sub, out)
-    elif isinstance(body, (hl.And, hl.Or, hl.Implies, hl.Iff, hl.Until, hl.Release, hl.WeakUntil)):
-        _collect_atoms(body.left, out)
-        _collect_atoms(body.right, out)
 
 
 def check(cfg: CheckConfig) -> Verdict:

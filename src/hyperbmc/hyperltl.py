@@ -280,14 +280,22 @@ def parse_formula(text: str) -> HyperFormula:
     return _FormulaParser(text).parse()
 
 
-def _body_vars(body, out):
-    if isinstance(body, (Atom, NegAtom)):
-        out.add(body.var)
-    elif isinstance(body, (Not, Next, Eventually, Always)):
-        _body_vars(body.sub, out)
-    elif isinstance(body, (And, Or, Implies, Iff, Until, Release, WeakUntil)):
-        _body_vars(body.left, out)
-        _body_vars(body.right, out)
+def walk(body):
+    """Every node of a body, each before its children, left before right.
+
+    An explicit stack, not recursion, so no formula size meets the Python
+    recursion limit. The walk never hashes or compares nodes: both recurse
+    through a frozen dataclass's fields.
+    """
+    stack = [body]
+    while stack:
+        b = stack.pop()
+        yield b
+        if isinstance(b, (Not, Next, Eventually, Always)):
+            stack.append(b.sub)
+        elif isinstance(b, (And, Or, Implies, Iff, Until, Release, WeakUntil)):
+            stack.append(b.right)
+            stack.append(b.left)
 
 
 def _check_closed(f: HyperFormula):
@@ -296,8 +304,7 @@ def _check_closed(f: HyperFormula):
         if v in bound:
             raise FormulaError(f"trace variable {v!r} quantified twice")
         bound.add(v)
-    used = set()
-    _body_vars(f.body, used)
+    used = {b.var for b in walk(f.body) if isinstance(b, (Atom, NegAtom))}
     for v in sorted(used - bound):
         raise UnboundVariableError(v)
 
@@ -389,22 +396,12 @@ SYNTACTIC_COSAFETY = "SYNTACTIC_COSAFETY"
 NEITHER = "NEITHER"
 
 
-def _contains(body, kinds):
-    if isinstance(body, kinds):
-        return True
-    if isinstance(body, (Not, Next, Eventually, Always)):
-        return _contains(body.sub, kinds)
-    if isinstance(body, (And, Or, Implies, Iff, Until, Release, WeakUntil)):
-        return _contains(body.left, kinds) or _contains(body.right, kinds)
-    return False
-
-
 def classify_fragment(f: HyperFormula) -> str:
     """Syntactic fragment of an NNF body; drives advisory hints only."""
     body = normalize(f).body
-    if not _contains(body, Until):
+    if not any(isinstance(b, Until) for b in walk(body)):
         return SYNTACTIC_SAFETY
-    if not _contains(body, Release):
+    if not any(isinstance(b, Release) for b in walk(body)):
         return SYNTACTIC_COSAFETY
     return NEITHER
 

@@ -53,11 +53,6 @@ class KripkeStructure:
     halt: frozenset
     aps: tuple
 
-    def successors(self, state):
-        """Successor states of `state`, in declaration order."""
-        order = {s: i for i, s in enumerate(self.states)}
-        return sorted((d for s, d in self.trans if s == state), key=order.get)
-
 
 @dataclass(frozen=True)
 class TracePrefix:

@@ -103,6 +103,19 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     relational product. So a block's quantifier meets its own unrolling
     and the body, never the unrollings of outer traces.
 
+    The product is split over the body (Burch, Clarke, Long 1991) when
+    exactly one child of the stop mixes `variables` with others, that
+    child is an OR under an existential (an AND under a universal), and
+    at least two of its own children mix them too. The children over
+    `variables` alone join into a guard G, and since ∃Q (G ∧ ∨ d) =
+    ∨ ∃Q (G ∧ d), each disjunct d that mentions Q gets a product of its
+    own, and the whole body is never built. A disjunct without Q needs
+    none: G is over Q alone, so ∃Q (G ∧ d) = d ∧ ∃Q G, which is d unless
+    G is unsatisfiable; an unsatisfiable G makes the whole stop FALSE.
+    Dually under a universal, with conjuncts, a guard joined by OR and
+    a valid guard making the stop TRUE. With one mixed disjunct the split
+    would add products and separate nothing.
+
     An OR of cubes (see _shape) is built once per shape, at base 0, and
     relocated to each gate of that shape: the encoder repeats every label
     gate and transition relation at each step, a constant distance apart.
@@ -123,7 +136,21 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     def key_of(n, mode):
         return 3 * n if mode == _PLAIN or not masks[n] & qmask else 3 * n + mode
 
+    def mixes(n):
+        return masks[n] & qmask and masks[n] & ~qmask
+
+    def split_body(n):
+        """The child of a stop node whose product is split (see above), or None."""
+        mixed = [c for c in payloads[n] if mixes(c)]
+        if len(mixed) != 1:
+            return None
+        body = mixed[0]
+        if kinds[body] != (ct.K_OR if kinds[n] == ct.K_AND else ct.K_AND):
+            return None
+        return body if sum(1 for d in payloads[body] if mixes(d)) >= 2 else None
+
     kids = {}
+    splits = {}  # stop node's key -> its child whose product is split
     gates = {}  # key -> (shape, base) of the ORs of cubes
     shapes = {}
     order = []
@@ -147,6 +174,10 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
             ks = tuple(key_of(c, mode) for c in payloads[n])
         elif k in (ct.K_AND, ct.K_OR):
             ks = tuple(3 * c for c in payloads[n])
+            if mode != _PLAIN and (body := split_body(n)) is not None:
+                splits[key] = body
+                ks = tuple(3 * c for c in payloads[n] if c != body)
+                ks += tuple(3 * d for d in payloads[body])
         else:
             ks = ()
         kids[key] = ks
@@ -185,12 +216,24 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         # variables, quantify them in one product, then add the others. The
         # ones over its variables alone (the block's unrolling) are joined
         # first, so the product meets the body once, as its last operand.
-        pure = [memo[c] for c in ks if masks[c // 3] & qmask and not masks[c // 3] & ~qmask]
-        mixed = [memo[c] for c in ks if masks[c // 3] & qmask and masks[c // 3] & ~qmask]
-        outside = [memo[c] for c in ks if not masks[c // 3] & qmask]
-        inside = pure + mixed
+        # A split body gets one product per child that mentions them.
+        body = splits.get(key)
+        own = [c for c in payloads[n] if c != body]
+        pure = [memo[3 * c] for c in own if masks[c] & qmask and not masks[c] & ~qmask]
+        outside = [memo[3 * c] for c in own if not masks[c] & qmask]
         qop = bdd.OR if mode == _EXISTS else bdd.AND
-        node = mgr.quantify(op, qop, mgr.join(op, inside[:-1]), inside[-1], variables)
+        if body is None:
+            inside = pure + [memo[3 * c] for c in own if mixes(c)]
+            node = mgr.quantify(op, qop, mgr.join(op, inside[:-1]), inside[-1], variables)
+        else:
+            guard = mgr.join(op, pure)
+            if guard == (bdd.FALSE if op == bdd.AND else bdd.TRUE):
+                return guard
+            node = mgr.join(qop, [
+                mgr.quantify(op, qop, guard, memo[3 * d], variables) if masks[d] & qmask
+                else memo[3 * d]
+                for d in payloads[body]
+            ])
         return mgr.join(op, [node, *outside])
 
     refs = dict.fromkeys(kids, 0)

@@ -47,6 +47,20 @@ def test_parse_unbound_variable():
     assert e.value.var == "B"
 
 
+def test_parse_long_conjunction():
+    # 3000 conjuncts nest 2999 ANDs deep; the closedness check once
+    # recursed through them and raised RecursionError
+    f = parse_formula("forall A. " + " & ".join(["a[A]"] * 3000))
+    assert sum(isinstance(b, And) for b in hl.walk(f.body)) == 2999
+    assert sum(isinstance(b, Atom) for b in hl.walk(f.body)) == 3000
+
+
+def test_parse_long_conjunction_unbound_last():
+    with pytest.raises(UnboundVariableError) as e:
+        parse_formula("forall A. " + " & ".join(["a[A]"] * 2999 + ["b[B]"]))
+    assert e.value.var == "B"
+
+
 def test_parse_quantifier_after_body_start():
     with pytest.raises(FormulaSyntaxError):
         parse_formula("forall A. a[A] & exists B. b[B]")

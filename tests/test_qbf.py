@@ -408,3 +408,179 @@ def test_or_of_cubes_shape_compares_variable_placement():
         while g > bdd.TRUE:
             g = mgr.hi[g] if env[mgr.level[g]] else mgr.lo[g]
         assert (g == bdd.TRUE) == c.evaluate(root, env)
+
+
+def _count_products(monkeypatch):
+    """Patch BDD.quantify to count its calls; returns the one-element count list."""
+    from hyperbmc import bdd
+
+    calls = [0]
+    quantify = bdd.BDD.quantify
+
+    def counted(self, *args):
+        calls[0] += 1
+        return quantify(self, *args)
+
+    monkeypatch.setattr(bdd.BDD, "quantify", counted)
+    return calls
+
+
+def rand_split_prenex(rng):
+    """2-3 blocks whose innermost guard meets a body the guard's quantifier stops at.
+
+    The innermost block enters as assemble_qbf chains it: its guard ANDed
+    with the body under an existential, implying it under a universal.
+    The body is an OR under an existential (an AND under a universal)
+    with at least two children over the block and outer variables, and
+    some over outer variables or the block alone, so the solver splits
+    its product over the body. About one guard in four is unsatisfiable.
+    """
+    c = Circuit()
+    blocks = []
+    at = 0
+    count = rng.randint(2, 3)
+    for i in range(count):
+        size = rng.randint(2, 3) if i == count - 1 else rng.randint(1, 3)
+        quant = rng.choice([EXISTS, FORALL]) if not blocks else (
+            FORALL if blocks[-1][0] == EXISTS else EXISTS
+        )
+        blocks.append((quant, tuple(range(at, at + size))))
+        at += size
+    inner_quant, inner = blocks[-1][0], list(blocks[-1][1])
+    outer = [v for _, vs in blocks[:-1] for v in vs]
+
+    def build(depth, variables):
+        if depth == 0 or rng.random() < 0.2:
+            v = c.var(rng.choice(variables))
+            return c.not_(v) if rng.random() < 0.3 else v
+        node = (c.and_ if rng.random() < 0.5 else c.or_)(
+            [build(depth - 1, variables) for _ in range(rng.randint(2, 3))]
+        )
+        return c.not_(node) if rng.random() < 0.4 else node
+
+    def literal(variables):
+        v = c.var(rng.choice(variables))
+        return c.not_(v) if rng.random() < 0.5 else v
+
+    # the body's own kind, and the kind of its children that mix
+    spread, kind = (c.or_, c.and_) if inner_quant == EXISTS else (c.and_, c.or_)
+    parts = []
+    for _ in range(rng.randint(2, 3)):
+        items = [literal(inner), literal(outer)]
+        if rng.random() < 0.5:
+            items.append(build(1, inner + outer))
+        parts.append(kind(items))
+    parts += [build(rng.randint(0, 2), outer) for _ in range(rng.randint(0, 2))]
+    parts += [build(rng.randint(0, 2), inner) for _ in range(rng.randint(0, 2))]
+    matrix = spread(parts)
+    for i, (quant, variables) in enumerate(reversed(blocks)):
+        extra = []
+        if i:
+            guard = build(rng.randint(1, 2), list(variables))
+        else:
+            if rng.random() < 0.25:
+                x, y = (c.var(v) for v in rng.sample(inner, 2))
+                guard = c.and_([x, c.not_(c.or_([x, y]))])
+            else:
+                guard = build(rng.randint(1, 2), inner)
+            extra = [build(1, outer)] if rng.random() < 0.3 else []
+        if quant == EXISTS:
+            matrix = c.and_([guard, matrix, *extra])
+        else:
+            matrix = c.or_([c.not_(guard), matrix, *extra])
+    return make_prenex(c, blocks, matrix, {v: f"x{v}" for v in range(at)})
+
+
+def test_split_bodies_agree_with_naive_evaluator(rng, monkeypatch):
+    calls = _count_products(monkeypatch)
+    witnesses = split = 0
+    for _ in range(600):
+        q = rand_split_prenex(rng)
+        calls[0] = 0
+        r = solve(q)
+        # the middle block, if any, takes one product of its own
+        split += calls[0] > len(q.blocks) - 1
+        want = naive_qbf(q.blocks, lambda env: q.circuit.evaluate(q.matrix, env))
+        assert r.value == want
+        quant, variables = q.blocks[0]
+        if r.outer_witness is None:
+            assert (quant == EXISTS) != r.value
+            continue
+        witnesses += 1
+        assert set(r.outer_witness) == set(variables)
+        m = q.matrix
+        for v, val in r.outer_witness.items():
+            m = q.circuit.restrict(m, v, val)
+        rest = make_prenex(q.circuit, q.blocks[1:], m, q.var_names)
+        assert solve(rest).value is r.value
+    assert witnesses >= 100
+    assert split >= 100
+
+
+def test_split_fires_once_per_mixed_disjunct(monkeypatch):
+    # The negated fair non-repudiation check: ∃Q meets Q's unrolling and
+    # the negated body, an OR with several disjuncts over P and Q, in one
+    # AND. Each disjunct gets a product of its own, and the result is the
+    # handle of the single product over the whole body.
+    from hyperbmc import bdd, circuit, encoder, oracle, qbf
+    from hyperbmc.hyperltl import negate, parse_formula
+    from hyperbmc.models import builtin_spec, gen_nonrepudiation
+
+    structure = gen_nonrepudiation("incorrect")
+    formula = negate(parse_formula(builtin_spec("fair_nonrepudiation").formula))
+    assert [quant for quant, _ in formula.prefix] == [FORALL, EXISTS]
+    q = encoder.assemble_qbf(formula, {v: structure for _, v in formula.prefix}, 3, oracle.HPES)
+    c = q.circuit
+    inner = q.blocks[-1][1]
+    qmask = sum(1 << v for v in inner)
+
+    def mixes(n):
+        return bool(c.masks[n] & qmask and c.masks[n] & ~qmask)
+
+    # ∃Q passes the root's OR and stops at the one child that mentions Q
+    (stop,) = [n for n in c.payloads[q.matrix] if c.masks[n] & qmask]
+    (body,) = [n for n in c.payloads[stop] if mixes(n)]
+    assert c.kinds[stop] == circuit.K_AND and c.kinds[body] == circuit.K_OR
+    guards = [n for n in c.payloads[stop] if n != body]
+    assert all(not c.masks[n] & ~qmask for n in guards)
+    disjuncts = [d for d in c.payloads[body] if mixes(d)]
+    assert len(disjuncts) >= 2 and len(disjuncts) == len(c.payloads[body])
+
+    calls = _count_products(monkeypatch)
+    # handles from separate calls are compared: no collection may renumber them
+    monkeypatch.setattr(bdd.BDD, "maybe_collect", lambda self, pinned: None)
+    mgr = bdd.BDD()
+    split = qbf._compile(c, mgr, q.matrix, qbf._EXISTS, inner)
+    assert calls[0] == len(disjuncts)
+    guard = mgr.join(bdd.AND, [qbf._compile(c, mgr, n) for n in guards])
+    whole = mgr.quantify(bdd.AND, bdd.OR, guard, qbf._compile(c, mgr, body), inner)
+    rest = [qbf._compile(c, mgr, n) for n in c.payloads[q.matrix] if n != stop]
+    assert split == mgr.join(bdd.OR, [whole, *rest])
+
+
+def test_single_mixed_disjunct_takes_one_product(monkeypatch):
+    # The ∀∃ sweep stops at an AND with many mixed children, and shortest
+    # path's body has one mixed disjunct at the first step: neither splits.
+    from hyperbmc import oracle
+    from hyperbmc.encoder import assemble_qbf
+    from hyperbmc.hyperltl import normalize, parse_formula
+    from hyperbmc.kripke import parse_kripke
+    from hyperbmc.models import builtin_spec, gen_grid
+
+    complete = parse_kripke(
+        "ap a; states s0 s1; init s0; label s0 {a}; label s1 {}; "
+        "trans s0 -> s0; trans s0 -> s1; trans s1 -> s0; trans s1 -> s1;"
+    )
+    grid = gen_grid(4, 4, {(0, 1), (1, 1), (2, 1)}, [(0, 0)], {(0, 3)})
+    cases = [
+        ("forall A. exists B. G (a[A] <-> a[B])", complete, 6, oracle.OPT),
+        (builtin_spec("shortest_path").formula, grid, 6, oracle.CLASSIC),
+    ]
+    calls = _count_products(monkeypatch)
+    for text, structure, k, sem in cases:
+        formula = normalize(parse_formula(text))
+        q = assemble_qbf(formula, {"A": structure, "B": structure}, k, sem)
+        assert len(q.blocks) == 2
+        calls[0] = 0
+        solve(q)
+        assert calls[0] == 1
