@@ -189,18 +189,19 @@ class BDD:
         return node
 
     def or_of_cubes(self, cubes):
-        """OR of cubes, each a list of (variable, value) pairs sorted by variable.
+        """OR of cubes, each a sequence of literal codes 2 * variable + value, sorted.
 
         When every cube fixes the same variables, the cubes form a trie
         over those variables, and each node is made once, level by level
         from the bottom. Otherwise they are joined one by one.
         """
-        variables = [v for v, _ in cubes[0]] if cubes else []
-        if any([v for v, _ in c] != variables for c in cubes):
-            return self.join(OR, [self.join(AND, [self.literal(*x) for x in c]) for c in cubes])
+        variables = [x >> 1 for x in cubes[0]] if cubes else []
+        if any([x >> 1 for x in c] != variables for c in cubes):
+            cubes = [[self.literal(x >> 1, x & 1) for x in c] for c in cubes]
+            return self.join(OR, [self.join(AND, c) for c in cubes])
         if variables:
             self._reserve(variables[-1])
-        layer = dict.fromkeys((tuple(b for _, b in c) for c in cubes), TRUE)
+        layer = dict.fromkeys((tuple(x & 1 for x in c) for c in cubes), TRUE)
         for v in reversed(variables):
             children = {}
             for bits, node in layer.items():

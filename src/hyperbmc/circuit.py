@@ -7,6 +7,14 @@ handle equal to 0 or 1 means the subcircuit is that constant.
 
 Every node carries the bitmask of variables in its support, which lets
 cofactoring skip entire subDAGs that do not mention the variable.
+
+Node kinds: constants, variables, NOT, AND and OR gates, and table gates.
+A table is an OR of cubes registered once per circuit at base 0 (see
+table); a table gate is that table over the variables `base` higher. A
+function that repeats over a shifted window of variables, like a
+model's transition relation at every step of an unrolling, is then one
+table and one small node per window. evaluate reads a table gate
+directly; cofactors (and so restrict) expand it into AND/OR gates.
 """
 
 FALSE = 0
@@ -17,6 +25,7 @@ K_VAR = 1
 K_NOT = 2
 K_AND = 3
 K_OR = 4
+K_TABLE = 5
 
 
 class Circuit:
@@ -27,6 +36,9 @@ class Circuit:
         self.payloads = [False, True]
         self.masks = [0, 0]  # variable support as a bitmask
         self._intern = {}
+        self.tables = []  # table id -> sorted tuple of cubes at base 0
+        self._table_masks = []
+        self._table_ids = {}
 
     def __len__(self):
         return len(self.kinds)
@@ -88,6 +100,40 @@ class Circuit:
     def or_(self, items):
         return self._gate(K_OR, items, FALSE, TRUE)
 
+    def table(self, cubes):
+        """Id of the OR of `cubes` at base 0, registered once per distinct set of cubes.
+
+        A cube is a tuple of literal codes 2 * offset + value, each saying
+        that the variable `offset` above the gate's base has that value; a
+        cube fixes each offset at most once.
+        """
+        cubes = tuple(sorted({tuple(sorted(c)) for c in cubes}))
+        tid = self._table_ids.get(cubes)
+        if tid is None:
+            tid = self._table_ids[cubes] = len(self.tables)
+            self.tables.append(cubes)
+            self._table_masks.append(sum({1 << (code >> 1) for c in cubes for code in c}))
+        return tid
+
+    def table_gate(self, tid, base):
+        """Table tid over the variables from `base` up; folds an empty table or empty cube."""
+        cubes = self.tables[tid]
+        if not cubes:
+            return FALSE
+        if not cubes[0]:  # sorted, so the empty cube comes first
+            return TRUE
+        return self._mk(K_TABLE, (tid, base), self._table_masks[tid] << base)
+
+    def expand(self, n):
+        """Table gate n as an OR of ANDs of literals."""
+        tid, base = self.payloads[n]
+        cubes = self.tables[tid]
+        lits = {}
+        for code in sorted({code for c in cubes for code in c}):
+            v = self.var(base + (code >> 1))
+            lits[code] = v if code & 1 else self.not_(v)
+        return self.or_([self.and_([lits[code] for code in c]) for c in cubes])
+
     def implies(self, a, b):
         return self.or_([self.not_(a), b])
 
@@ -120,82 +166,59 @@ class Circuit:
         return hi if value else lo
 
     def cofactors(self, root, var):
-        """Both cofactors of `var` in one traversal; returns (negative, positive)."""
+        """Both cofactors of `var` in one traversal; returns (negative, positive).
+
+        A table gate is cofactored through its expansion (see expand).
+        """
         bit = 1 << var
-        if not self.masks[root] & bit:
-            return root, root
-        kinds = self.kinds
-        payloads = self.payloads
-        masks = self.masks
+        kinds, payloads, masks = self.kinds, self.payloads, self.masks
         memo = {}
-        stack = [root]
+        stack = [(root, False)]
         while stack:
-            n = stack[-1]
-            if n in memo:
-                stack.pop()
-                continue
-            if not masks[n] & bit:
-                memo[n] = (n, n)
-                stack.pop()
+            n, ready = stack.pop()
+            if n in memo or not masks[n] & bit:
                 continue
             k = kinds[n]
             if k == K_VAR:
                 memo[n] = (FALSE, TRUE)
-                stack.pop()
-                continue
-            if k == K_NOT:
-                c = payloads[n]
-                got = memo.get(c)
-                if got is None:
-                    stack.append(c)
-                    continue
-                memo[n] = (self.not_(got[0]), self.not_(got[1]))
-                stack.pop()
-                continue
-            todo = [c for c in payloads[n] if masks[c] & bit and c not in memo]
-            if todo:
-                stack.extend(todo)
-                continue
-            los = []
-            his = []
-            for c in payloads[n]:
-                got = memo.get(c)
-                if got is None:
-                    los.append(c)
-                    his.append(c)
-                else:
-                    los.append(got[0])
-                    his.append(got[1])
-            if k == K_AND:
-                memo[n] = (self.and_(los), self.and_(his))
+            elif not ready:
+                stack.append((n, True))
+                for c in (self.expand(n),) if k == K_TABLE else self.children(n):
+                    stack.append((c, False))
+            elif k == K_NOT:
+                memo[n] = tuple(self.not_(c) for c in memo[payloads[n]])
+            elif k == K_TABLE:
+                e = self.expand(n)
+                memo[n] = memo.get(e, (e, e))  # e may fold to a constant
             else:
-                memo[n] = (self.or_(los), self.or_(his))
-            stack.pop()
-        return memo[root]
+                pairs = [memo.get(c, (c, c)) for c in payloads[n]]
+                make = self.and_ if k == K_AND else self.or_
+                memo[n] = (make([lo for lo, _ in pairs]), make([hi for _, hi in pairs]))
+        return memo.get(root, (root, root))
 
     def evaluate(self, root, assignment):
         """Evaluate under a total assignment (dict var id -> bool)."""
-        memo = {}
+        kinds, payloads = self.kinds, self.payloads
+        memo = {FALSE: False, TRUE: True}
         stack = [(root, False)]
         while stack:
             n, ready = stack.pop()
             if n in memo:
                 continue
-            if n < 2:
-                memo[n] = n == TRUE
-                continue
-            k = self.kinds[n]
+            k, p = kinds[n], payloads[n]
             if k == K_VAR:
-                memo[n] = assignment[self.payloads[n]]
-                continue
-            if not ready:
+                memo[n] = assignment[p]
+            elif k == K_TABLE:
+                memo[n] = any(
+                    all(assignment[p[1] + (code >> 1)] == code & 1 for code in c)
+                    for c in self.tables[p[0]]
+                )
+            elif not ready:
                 stack.append((n, True))
                 for c in self.children(n):
                     stack.append((c, False))
             elif k == K_NOT:
-                memo[n] = not memo[self.payloads[n]]
-            elif k == K_AND:
-                memo[n] = all(memo[c] for c in self.payloads[n])
+                memo[n] = not memo[p]
             else:
-                memo[n] = any(memo[c] for c in self.payloads[n])
+                memo[n] = (all if k == K_AND else any)(memo[c] for c in p)
         return memo[root]

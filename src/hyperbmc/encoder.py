@@ -3,12 +3,12 @@
 Each trace variable gets one quantifier block holding, per step, its
 ceil(log2 |S|) state bits, which spell a state index. Propositions and the
 reserved @halt proposition are not variables: at each (trace, step) each
-one is a gate, the disjunction of the state-bit minterms of the states
-that carry it. The body encoding reads these gates. Each (trace, step,
-state) minterm is built once per encoding: assemble_qbf owns a memo of
-them that the transition relations and every gate share, and drops it
-when it returns. Hash consing alone would store each minterm once but
-rebuild it at every use.
+one is a table gate (see circuit.py) over that step's state bits, the OR
+of the minterms of the states that carry it. Each model's label sets,
+initial state and transition relation are registered once per encoding
+as tables over the bits of one step (two, for the transitions); every
+(trace, step) reads them through a gate at its own base, so the
+per-step copies the unrolling repeats are never built as circuits.
 """
 
 import math
@@ -42,12 +42,17 @@ class VarLayout:
 
     bound: int
     models: dict  # trace variable -> KripkeStructure
+    stride: int = 0  # state bits per step, over all traces
     blocks: list = field(default_factory=list)  # (quantifier, var, [ids])
     names: dict = field(default_factory=dict)  # id -> name
     _sb_ids: dict = field(default_factory=dict)  # (var, step) -> [ids]
 
     def sb_ids(self, var, step):
         return self._sb_ids[(var, step)]
+
+    def base(self, var, step):
+        """The least state bit of (var, step); 0 when var's model has one state."""
+        return (self._sb_ids[(var, step)] or [0])[0]
 
     def trace_vars(self):
         return [v for _, v, _ in self.blocks]
@@ -77,35 +82,21 @@ def build_layout(models, formula, k) -> VarLayout:
             layout._sb_ids[(var, step)] = bits
             ids[var].extend(bits)
             next_id += nbits[var]
+    layout.stride = sum(nbits.values())
     layout.blocks = [(quant, var, ids[var]) for quant, var in formula.prefix]
     return layout
 
 
-def at(circ: Circuit, layout, var, step, idx, minterms=None) -> int:
-    """Minterm: the state bits of (var, step) spell state index idx.
-
-    With a dict `minterms`, each minterm is built on first use and looked
-    up there afterwards.
-    """
-    key = (var, step, idx)
-    if minterms is not None and key in minterms:
-        return minterms[key]
-    lits = []
-    for j, bit in enumerate(layout.sb_ids(var, step)):
-        v = circ.var(bit)
-        lits.append(v if (idx >> j) & 1 else circ.not_(v))
-    node = circ.and_(lits)
-    if minterms is not None:
-        minterms[key] = node
-    return node
+def _minterm(nbits, idx, offset=0):
+    """Literal codes (see Circuit.table) of the nbits state bits spelling idx, from offset up."""
+    return tuple(2 * (offset + j) + (idx >> j & 1) for j in range(nbits))
 
 
-def label_gate(circ: Circuit, layout, var, step, ap, minterms=None) -> int:
-    """Gate for proposition ap (or @halt) of trace var at step.
+def label_table(circ: Circuit, layout, var, ap) -> int:
+    """Table of the states of var's model that carry ap (or @halt), over one step's bits.
 
-    The disjunction of the minterms of the states that carry it. On codes
-    that name no state it is false, but those codes never matter: see
-    unroll_structure.
+    The OR of their minterms. On codes that name no state it is false,
+    but those codes never matter: see unroll_structure.
     """
     structure = layout.models.get(var)
     if structure is None:
@@ -116,10 +107,16 @@ def label_gate(circ: Circuit, layout, var, step, ap, minterms=None) -> int:
         carries = [ap in structure.labels[s] for s in structure.states]
     else:
         raise EncodeError(f"proposition {ap!r} not declared for trace variable {var!r}")
-    return circ.or_([at(circ, layout, var, step, i, minterms) for i, c in enumerate(carries) if c])
+    nbits = state_bit_count(len(structure.states))
+    return circ.table(_minterm(nbits, i) for i, c in enumerate(carries) if c)
 
 
-def unroll_structure(structure, var, k, layout, circ: Circuit, minterms=None) -> int:
+def label_gate(circ: Circuit, layout, var, step, ap) -> int:
+    """Gate for proposition ap (or @halt) of trace var at step: its label table there."""
+    return circ.table_gate(label_table(circ, layout, var, ap), layout.base(var, step))
+
+
+def unroll_structure(structure, var, k, layout, circ: Circuit) -> int:
     """Circuit over var's block that holds exactly on encodings of its paths.
 
     A satisfying assignment fixes the step-0 state bits to the initial
@@ -131,44 +128,45 @@ def unroll_structure(structure, var, k, layout, circ: Circuit, minterms=None) ->
     universal), so the matrix does not depend on the body's value where
     the guard is false, which is why the label gates may read false on
     codes that name no state.
+
+    The transition table's cubes span one step at offset 0 and the next
+    at offset layout.stride, so one gate per step reads it.
     """
-    if minterms is None:
-        minterms = {}
     index = {s: i for i, s in enumerate(structure.states)}
-    parts = [at(circ, layout, var, 0, index[structure.init], minterms)]
-    edges = sorted((index[s], index[d]) for s, d in structure.trans)
-    for step in range(k):
-        parts.append(circ.or_(
-            [circ.and_([at(circ, layout, var, step, s, minterms),
-                        at(circ, layout, var, step + 1, d, minterms)])
-             for s, d in edges]
-        ))
+    nbits = state_bit_count(len(structure.states))
+    init = circ.table([_minterm(nbits, index[structure.init])])
+    step = circ.table(
+        _minterm(nbits, index[s]) + _minterm(nbits, index[d], layout.stride)
+        for s, d in structure.trans
+    )
+    parts = [circ.table_gate(init, layout.base(var, 0))]
+    parts += [circ.table_gate(step, layout.base(var, i)) for i in range(k)]
     return circ.and_(parts)
 
 
-def encode_body(body, k, sem, layout, circ: Circuit, paper_literal=False, minterms=None) -> int:
+def encode_body(body, k, sem, layout, circ: Circuit, paper_literal=False) -> int:
     """Fixpoint expansion of an NNF body at step 0, memoized on (node, step).
 
     Each (node, step) pair is encoded by a generator that yields the pairs
-    it needs and receives their nodes. A loop over an explicit stack of
-    these generators runs them in the order a recursion would, so the
-    circuit is built node for node in the same order, but neither the
-    bound nor the depth of the formula meets the recursion limit.
+    it needs and receives their nodes, run by hyperltl.rewrite on an
+    explicit stack in the order a recursion would: the circuit is built
+    node for node in the same order, but neither the bound nor the depth
+    of the formula meets the recursion limit. Equal subformulas that are
+    distinct objects are encoded once each, and hash consing gives them
+    one circuit node.
     """
-    if minterms is None:
-        minterms = {}
-    memo = {}
-    gates = {}
+    tables = {}
 
     def label(var, i, ap):
-        key = (var, i, ap)
-        if key not in gates:
-            gates[key] = label_gate(circ, layout, var, i, ap, minterms)
-        return gates[key]
+        key = (var, ap)
+        if key not in tables:
+            tables[key] = label_table(circ, layout, var, ap)
+        return circ.table_gate(tables[key], layout.base(var, i))
 
     halted_k = circ.and_([label(v, k, HALT_AP) for v in layout.trace_vars()])
 
-    def _enc(b, i):
+    def _enc(item):
+        b, i = item
         if isinstance(b, hl.Const):
             return circ.const(b.value)
         if isinstance(b, (hl.Atom, hl.NegAtom)):
@@ -222,20 +220,7 @@ def encode_body(body, k, sem, layout, circ: Circuit, paper_literal=False, minter
             return circ.or_([circ.not_(halted_k), arm])
         raise EncodeError(f"unknown semantics {sem!r}")
 
-    stack = [((body, 0), _enc(body, 0))]
-    sent = None
-    while stack:
-        key, gen = stack[-1]
-        try:
-            need = gen.send(sent)
-        except StopIteration as done:
-            stack.pop()
-            sent = memo[key] = done.value
-            continue
-        sent = memo.get(need)
-        if sent is None:
-            stack.append((need, _enc(*need)))
-    return sent
+    return hl.rewrite((body, 0), _enc, key=lambda item: (id(item[0]), item[1]))
 
 
 def assemble_qbf(formula, models, k, sem, paper_literal=False, layout=None) -> PrenexQBF:
@@ -250,10 +235,9 @@ def assemble_qbf(formula, models, k, sem, paper_literal=False, layout=None) -> P
     circ = Circuit()
     if layout is None:
         layout = build_layout(models, formula, k)
-    minterms = {}
-    matrix = encode_body(formula.body, k, sem, layout, circ, paper_literal, minterms)
+    matrix = encode_body(formula.body, k, sem, layout, circ, paper_literal)
     for quant, var in reversed(formula.prefix):
-        unrolled = unroll_structure(models[var], var, k, layout, circ, minterms)
+        unrolled = unroll_structure(models[var], var, k, layout, circ)
         if quant == hl.EXISTS:
             matrix = circ.and_([unrolled, matrix])
         else:

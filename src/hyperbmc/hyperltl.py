@@ -309,6 +309,45 @@ def _check_closed(f: HyperFormula):
         raise UnboundVariableError(v)
 
 
+def rewrite(root, rule, key):
+    """Run a bottom-up rewrite from root without recursion; returns root's result.
+
+    rule(item) is a generator: it yields the items whose results it
+    needs, receives each one, and returns the result for item. A loop over
+    an explicit stack of these generators runs them in the order a
+    recursion would, so no formula depth meets the recursion limit.
+    Results are memoized on key(item). Key formula nodes by id(): a
+    frozen dataclass hashes by recursing through its whole subformula.
+    """
+    memo = {}
+    stack = [(root, rule(root))]
+    sent = None
+    while stack:
+        item, gen = stack[-1]
+        try:
+            need = gen.send(sent)
+        except StopIteration as done:
+            stack.pop()
+            sent = memo[key(item)] = done.value
+            continue
+        sent = memo.get(key(need))
+        if sent is None:
+            stack.append((need, rule(need)))
+    return sent
+
+
+# The core operator each derived one rewrites to, as a function of the
+# rewritten operands.
+_DESUGAR = {
+    Not: Not, And: And, Or: Or, Next: Next, Until: Until, Release: Release,
+    Implies: lambda x, y: Or(Not(x), y),
+    Iff: lambda x, y: Or(And(x, y), And(Not(x), Not(y))),
+    Eventually: lambda x: Until(TRUE, x),
+    Always: lambda x: Release(FALSE, x),
+    WeakUntil: lambda x, y: Release(y, Or(x, y)),
+}
+
+
 def desugar(f: HyperFormula) -> HyperFormula:
     """Rewrite derived operators into the core with Not still allowed.
 
@@ -319,59 +358,38 @@ def desugar(f: HyperFormula) -> HyperFormula:
     def go(b):
         if isinstance(b, (Const, Atom, NegAtom)):
             return b
-        if isinstance(b, Not):
-            return Not(go(b.sub))
-        if isinstance(b, And):
-            return And(go(b.left), go(b.right))
-        if isinstance(b, Or):
-            return Or(go(b.left), go(b.right))
-        if isinstance(b, Implies):
-            return Or(Not(go(b.left)), go(b.right))
-        if isinstance(b, Iff):
-            left, right = go(b.left), go(b.right)
-            return Or(And(left, right), And(Not(left), Not(right)))
-        if isinstance(b, Next):
-            return Next(go(b.sub))
-        if isinstance(b, Eventually):
-            return Until(TRUE, go(b.sub))
-        if isinstance(b, Always):
-            return Release(FALSE, go(b.sub))
-        if isinstance(b, Until):
-            return Until(go(b.left), go(b.right))
-        if isinstance(b, Release):
-            return Release(go(b.left), go(b.right))
-        if isinstance(b, WeakUntil):
-            left, right = go(b.left), go(b.right)
-            return Release(right, Or(left, right))
-        raise FormulaError(f"unexpected node {b!r}")
+        make = _DESUGAR.get(type(b))
+        if make is None:
+            raise FormulaError(f"unexpected node {b!r}")
+        if isinstance(b, (Not, Next, Eventually, Always)):
+            return make((yield b.sub))
+        return make((yield b.left), (yield b.right))
 
-    return HyperFormula(prefix=f.prefix, body=go(f.body))
+    return HyperFormula(prefix=f.prefix, body=rewrite(f.body, go, key=id))
+
+
+_DUAL = {And: Or, Or: And, Until: Release, Release: Until}
 
 
 def _nnf(b, neg):
-    if isinstance(b, Const):
-        return Const(b.value != neg)
-    if isinstance(b, Atom):
-        return NegAtom(b.ap, b.var) if neg else b
-    if isinstance(b, NegAtom):
-        return Atom(b.ap, b.var) if neg else b
-    if isinstance(b, Not):
-        return _nnf(b.sub, not neg)
-    if isinstance(b, And):
-        l, r = _nnf(b.left, neg), _nnf(b.right, neg)
-        return Or(l, r) if neg else And(l, r)
-    if isinstance(b, Or):
-        l, r = _nnf(b.left, neg), _nnf(b.right, neg)
-        return And(l, r) if neg else Or(l, r)
-    if isinstance(b, Next):
-        return Next(_nnf(b.sub, neg))
-    if isinstance(b, Until):
-        l, r = _nnf(b.left, neg), _nnf(b.right, neg)
-        return Release(l, r) if neg else Until(l, r)
-    if isinstance(b, Release):
-        l, r = _nnf(b.left, neg), _nnf(b.right, neg)
-        return Until(l, r) if neg else Release(l, r)
-    raise FormulaError(f"desugar before NNF: {b!r}")
+    """b, negated if neg, with negation pushed to the atoms; b must be desugared."""
+
+    def go(item):
+        b, neg = item
+        if isinstance(b, Const):
+            return Const(b.value != neg)
+        if isinstance(b, (Atom, NegAtom)):
+            return (NegAtom if isinstance(b, Atom) else Atom)(b.ap, b.var) if neg else b
+        if isinstance(b, Not):
+            return (yield b.sub, not neg)
+        if isinstance(b, Next):
+            return Next((yield b.sub, neg))
+        if type(b) not in _DUAL:
+            raise FormulaError(f"desugar before NNF: {b!r}")
+        l, r = (yield b.left, neg), (yield b.right, neg)
+        return (_DUAL[type(b)] if neg else type(b))(l, r)
+
+    return rewrite((b, neg), go, key=lambda item: (id(item[0]), item[1]))
 
 
 def to_nnf(f: HyperFormula) -> HyperFormula:

@@ -116,9 +116,10 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     a valid guard making the stop TRUE. With one mixed disjunct the split
     would add products and separate nothing.
 
-    An OR of cubes (see _shape) is built once per shape, at base 0, and
-    relocated to each gate of that shape: the encoder repeats every label
-    gate and transition relation at each step, a constant distance apart.
+    A table (see circuit.py) is built once, by or_of_cubes at base 0, and
+    relocated to each of its gates' bases; a gate under a quantifier
+    quantifies its relocated copy. The encoder reads each model's label
+    sets and transition relation through such gates, one table each.
 
     The circuit is walked twice without recursion: once to list each
     (node, quantifier) pair below root in post-order with its children,
@@ -151,8 +152,6 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
 
     kids = {}
     splits = {}  # stop node's key -> its child whose product is split
-    gates = {}  # key -> (shape, base) of the ORs of cubes
-    shapes = {}
     order = []
     stack = [(key_of(root, quant), False)]
     while stack:
@@ -166,10 +165,6 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         k = kinds[n]
         if k == ct.K_NOT:
             ks = (key_of(payloads[n], flip[mode]),)
-        elif mode == _PLAIN and (gate := _shape(circ, n)) is not None:
-            shape, base = gate
-            gates[key] = (shapes.setdefault(shape, shape), base)  # one copy per shape
-            ks = ()
         elif k in (ct.K_AND, ct.K_OR) and mode == (_FORALL if k == ct.K_AND else _EXISTS):
             ks = tuple(key_of(c, mode) for c in payloads[n])
         elif k in (ct.K_AND, ct.K_OR):
@@ -185,8 +180,8 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         stack.extend((c, False) for c in ks if c not in kids)
 
     # memo holds the BDDs of the live (node, quantifier) pairs and, under
-    # each shape of OR of cubes, that shape's BDD at base 0, which every
-    # gate of the shape relocates; collections keep and renumber both.
+    # ("table", id), each table's BDD at base 0, which every gate of the
+    # table relocates; collections keep and renumber both.
     memo = {}
 
     def build(key):
@@ -202,13 +197,13 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
             return bdd.TRUE if mode == _EXISTS else bdd.FALSE
         if k == ct.K_NOT:
             return mgr.not_(memo[ks[0]])
-        if key in gates:
-            shape, base = gates[key]
-            if shape not in memo:
-                memo[shape] = mgr.or_of_cubes(
-                    [[(code >> 1, code & 1) for code in codes] for codes in shape]
-                )
-            return mgr.relocate(memo[shape], base)
+        if k == ct.K_TABLE:
+            tid, base = payloads[n]
+            if ("table", tid) not in memo:
+                memo["table", tid] = mgr.or_of_cubes(circ.tables[tid])
+            node = mgr.relocate(memo["table", tid], base)
+            eliminate = mgr.exists if mode == _EXISTS else mgr.forall
+            return node if mode == _PLAIN else eliminate(node, variables)
         op = bdd.AND if k == ct.K_AND else bdd.OR
         if mode == _PLAIN or mode == (_FORALL if k == ct.K_AND else _EXISTS):
             return mgr.join(op, [memo[c] for c in ks])
@@ -254,34 +249,6 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
                 del memo[c]
         mgr.maybe_collect(memo)
     return memo[order[-1]]
-
-
-def _shape(circ, n):
-    """(shape, base) of node n if it is an OR of conjunctions of literals, else None.
-
-    The encoder's label gates and per-step transition relations have this
-    form: ORs of state-bit minterms. base is the gate's least variable; a
-    literal of variable v with value b has the code 2 * (v - base) + b, and
-    the shape is the set of the cubes' sorted codes. So two gates of one
-    shape are the same function of variables a constant distance apart.
-    """
-    kinds, payloads = circ.kinds, circ.payloads
-    if kinds[n] != ct.K_OR:
-        return None
-    cubes = []
-    for c in payloads[n]:
-        codes = []
-        for x in payloads[c] if kinds[c] == ct.K_AND else (c,):
-            if kinds[x] == ct.K_VAR:
-                codes.append(2 * payloads[x] + 1)
-            elif kinds[x] == ct.K_NOT and kinds[payloads[x]] == ct.K_VAR:
-                codes.append(2 * payloads[payloads[x]])
-            else:
-                return None
-        codes.sort()
-        cubes.append(codes)
-    base = min(codes[0] for codes in cubes) >> 1
-    return frozenset(tuple(code - 2 * base for code in codes) for codes in cubes), base
 
 
 def solve(q: PrenexQBF, node_cap: int = DEFAULT_NODE_CAP) -> SolveResult:
@@ -353,62 +320,68 @@ def _emit_names(q: PrenexQBF):
 
 
 def emit_qcir(q: PrenexQBF) -> str:
-    """Render as a QCIR-G14 document; byte-deterministic for a given input."""
+    """Render as a QCIR-G14 document; byte-deterministic for a given input.
+
+    A table gate is written as its expansion into AND/OR gates (see
+    Circuit.expand), which this adds to the circuit; an expansion that
+    folds to a constant becomes an empty gate.
+    """
     circ = q.circuit
     names = _emit_names(q)
     gate_no = {}
     order = []
+    kinds, payloads = circ.kinds, circ.payloads
+    # a table gate, or the NOT of one, is written as its expansion
+    sub = {}
+    for n in range(len(circ)):
+        if kinds[n] == ct.K_TABLE:
+            sub[n] = circ.expand(n)
+        elif kinds[n] == ct.K_NOT and payloads[n] in sub:
+            sub[n] = circ.not_(sub[payloads[n]])  # folds --x and constants
 
     def visit(root):
         stack = [(root, False)]
         while stack:
             n, ready = stack.pop()
-            k = circ.kinds[n]
+            n = sub.get(n, n)
+            k = kinds[n]
             if k == ct.K_NOT:
-                stack.append((circ.payloads[n], ready))
+                stack.append((payloads[n], ready))
                 continue
-            if k in (ct.K_CONST, ct.K_VAR) or n in gate_no:
+            if k == ct.K_VAR or n in gate_no:
                 continue
             if not ready:
                 stack.append((n, True))
-                for c in reversed(circ.payloads[n]):
+                for c in reversed(circ.children(n)):
                     stack.append((c, False))
-            elif n not in gate_no:
+            else:
                 gate_no[n] = len(order) + 1
                 order.append(n)
 
     def literal(n):
-        k = circ.kinds[n]
+        n = sub.get(n, n)
+        k = kinds[n]
         if k == ct.K_VAR:
-            return names[circ.payloads[n]]
+            return names[payloads[n]]
         if k == ct.K_NOT:
-            return "-" + literal(circ.payloads[n])
+            return "-" + literal(payloads[n])
         return f"g{gate_no[n]}"
 
-    visit(q.matrix)
+    root = sub.get(q.matrix, q.matrix)
+    visit(root)
     lines = ["#QCIR-G14"]
     for quant, variables in q.blocks:
         lines.append(f"{quant}({', '.join(names[v] for v in variables)})")
 
-    root = q.matrix
-    if circ.kinds[root] in (ct.K_AND, ct.K_OR):
-        out = f"g{gate_no[root]}"
-        wrap = None
-    else:
-        out = f"g{len(order) + 1}"
-        if root == ct.TRUE:
-            wrap = f"{out} = and()"
-        elif root == ct.FALSE:
-            wrap = f"{out} = or()"
-        else:
-            wrap = f"{out} = and({literal(root)})"
-    lines.append(f"output({out})")
+    out = gate_no.get(root, len(order) + 1)
+    lines.append(f"output(g{out})")
     for n in order:
-        op = "and" if circ.kinds[n] == ct.K_AND else "or"
-        args = ", ".join(literal(c) for c in circ.payloads[n])
+        # a constant is an empty gate: and() is true, or() is false
+        op = "and" if kinds[n] == ct.K_AND or n == ct.TRUE else "or"
+        args = ", ".join(literal(c) for c in circ.children(n))
         lines.append(f"g{gate_no[n]} = {op}({args})")
-    if wrap is not None:
-        lines.append(wrap)
+    if root not in gate_no:  # a literal output gets a gate of its own
+        lines.append(f"g{out} = and({literal(root)})")
     return "\n".join(lines) + "\n"
 
 

@@ -72,3 +72,43 @@ def test_support_masks():
     assert c.support(f) == {3, 7}
     assert c.support(TRUE) == set()
     assert c.restrict(f, 5, True) == f  # untouched variable
+
+
+def test_table_gates_fold_and_intern():
+    c = Circuit()
+    assert c.table_gate(c.table([]), 5) == FALSE
+    assert c.table_gate(c.table([(), (1,)]), 5) == TRUE
+    # cubes are a set: order and repeats do not make a new table
+    t = c.table([(1, 2), (0, 3)])
+    assert c.table([(3, 0), (2, 1), (1, 2)]) == t
+    g = c.table_gate(t, 4)
+    assert c.table_gate(t, 4) == g
+    assert c.support(g) == {4, 5}
+    assert c.table_gate(t, 6) != g
+    # a table that is valid as a function is still a gate; it expands,
+    # restricts and evaluates to true
+    valid = c.table_gate(c.table([(0,), (1,)]), 3)
+    assert valid not in (TRUE, FALSE)
+    assert c.expand(valid) == TRUE
+    assert c.restrict(valid, 3, False) == c.restrict(valid, 3, True) == TRUE
+    assert c.evaluate(valid, {3: False}) and c.evaluate(valid, {3: True})
+
+
+def test_table_gate_evaluate_expand_and_restrict_agree():
+    c = Circuit()
+    # offset 0 true and offset 2 false, or offset 1 false
+    t = c.table([(1, 4), (2,)])
+    f = c.or_([c.and_([c.table_gate(t, 1), c.var(0)]), c.not_(c.table_gate(t, 2))])
+    e = c.expand(c.table_gate(t, 1))
+    assert e != c.table_gate(t, 1)
+    for bits in itertools.product([False, True], repeat=5):
+        env = dict(enumerate(bits))
+        want = (env[0] and ((env[1] and not env[3]) or not env[2])) or not (
+            (env[2] and not env[4]) or not env[3]
+        )
+        assert c.evaluate(f, env) == want
+        assert c.evaluate(e, env) == c.evaluate(c.table_gate(t, 1), env)
+        g = f
+        for v, b in enumerate(bits):
+            g = c.restrict(g, v, b)
+        assert g == (TRUE if want else FALSE)

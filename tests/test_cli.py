@@ -234,3 +234,19 @@ def test_undecodable_model_is_data_error(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--formula", "exists A. a[A]", "--model-default", str(bad), "-k", "1")
     assert code == 65
     assert err.startswith("error: ")
+
+
+def test_check_long_conjunction(capsys, tmp_path):
+    # normalizing 3000 conjuncts once overflowed the recursion limit (exit 70)
+    model = tmp_path / "bakery2.kr"
+    assert run(capsys, "gen", "bakery", "--n", "2", "-o", str(model))[0] == 0
+    formula = tmp_path / "long.hltl"
+    formula.write_text(
+        "forall A. forall B. " + " & ".join(["(pause[A] <-> pause[B])"] * 3000) + "\n"
+    )
+    code, out, _ = run(
+        capsys, "check", "--formula", str(formula), "--model-default", str(model), "-k", "2",
+    )
+    # both traces start in the initial state, and the body reads step 0 only
+    assert code == 0
+    assert "verdict: HOLDS" in out

@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -7,7 +8,14 @@ from hyperbmc import circuit as ct
 from hyperbmc import hyperltl as hl
 from hyperbmc import oracle
 from hyperbmc.circuit import Circuit
-from hyperbmc.encoder import assemble_qbf, build_layout, encode_body, label_gate, unroll_structure
+from hyperbmc.encoder import (
+    assemble_qbf,
+    build_layout,
+    encode_body,
+    label_gate,
+    label_table,
+    unroll_structure,
+)
 from hyperbmc.hyperltl import Atom, Next, Release, Until, normalize, parse_formula
 from hyperbmc.kripke import HALT_AP, enumerate_prefixes, parse_kripke
 from hyperbmc.qbf import solve
@@ -231,6 +239,85 @@ def test_spurious_assignment_immunity():
     assert value_with({**spell(0, 0), **spell(1, 1)}) is False
 
 
+def reference_minterm(circ, layout, var, step, idx):
+    """The state bits of (var, step) spell idx, built literal by literal."""
+    return circ.and_([
+        circ.var(b) if idx >> j & 1 else circ.not_(circ.var(b))
+        for j, b in enumerate(layout.sb_ids(var, step))
+    ])
+
+
+def test_table_gates_equal_their_minterms(rng):
+    from conftest import rand_kripke
+
+    one_state = 0
+    for _ in range(30):
+        m = rand_kripke(rng, max_states=rng.choice([1, 3, 4]), halting=rng.random() < 0.5)
+        one_state += len(m.states) == 1
+        k = 2
+        models = {"A": m, "B": m}
+        layout = layout_for(models, ((hl.FORALL, "A"), (hl.EXISTS, "B")), k)
+        circ = Circuit()
+        index = {s: i for i, s in enumerate(m.states)}
+        for var in models:
+            for step in range(k + 1):
+                for ap in (*m.aps, HALT_AP):
+                    carries = m.halt if ap == HALT_AP else {s for s in m.states if ap in m.labels[s]}
+                    want = circ.or_([reference_minterm(circ, layout, var, step, index[s]) for s in carries])
+                    got = label_gate(circ, layout, var, step, ap)
+                    if len(m.states) == 1:
+                        assert got == want == (ct.TRUE if carries else ct.FALSE)
+                    ids = layout.sb_ids(var, step)
+                    for bits in itertools.product([False, True], repeat=len(ids)):
+                        env = dict(zip(ids, bits))
+                        assert circ.evaluate(got, env) == circ.evaluate(want, env)
+            parts = [reference_minterm(circ, layout, var, 0, index[m.init])]
+            for step in range(k):
+                parts.append(circ.or_([
+                    circ.and_([reference_minterm(circ, layout, var, step, index[s]),
+                               reference_minterm(circ, layout, var, step + 1, index[d])])
+                    for s, d in m.trans
+                ]))
+            want = circ.and_(parts)
+            got = unroll_structure(m, var, k, layout, circ)
+            if len(m.states) == 1:
+                assert got == want == ct.TRUE
+            ids = layout.block_ids(var)
+            for bits in itertools.product([False, True], repeat=len(ids)):
+                env = dict(zip(ids, bits))
+                assert circ.evaluate(got, env) == circ.evaluate(want, env)
+    assert one_state >= 3
+
+
+def test_traces_over_one_model_share_tables():
+    models = {"A": THREE, "B": THREE}
+    layout = layout_for(models, ((hl.FORALL, "A"), (hl.EXISTS, "B")), 2)
+    circ = Circuit()
+    a = [label_gate(circ, layout, "A", step, "a") for step in range(3)]
+    b = [label_gate(circ, layout, "B", step, "a") for step in range(3)]
+    assert len({circ.payloads[g][0] for g in a + b}) == 1
+    assert [circ.payloads[g][1] for g in a + b] == [0, 4, 8, 2, 6, 10]
+    unroll_structure(THREE, "A", 2, layout, circ)
+    unroll_structure(THREE, "B", 2, layout, circ)
+    # one label table, one initial-state table, one transition table
+    assert len(circ.tables) == 3
+
+
+def test_transition_tables_differ_by_stride():
+    # the cubes of one model's transitions span two steps, so the same
+    # model unrolled beside one or two other traces gives two tables
+    circ = Circuit()
+    labels = set()
+    for names in ("AB", "ABC"):
+        layout = layout_for(dict.fromkeys(names, THREE), tuple((hl.EXISTS, v) for v in names), 1)
+        assert layout.stride == 2 * len(names)
+        unroll_structure(THREE, "A", 1, layout, circ)
+        labels.add(label_table(circ, layout, "A", "a"))
+    assert len(labels) == 1
+    # one initial-state table, two transition tables, one label table
+    assert len(circ.tables) == 4
+
+
 def test_encoder_matches_oracle_smoke(rng):
     for _ in range(150):
         models, f = rand_instance(rng, halting=rng.random() < 0.5)
@@ -242,3 +329,18 @@ def test_encoder_matches_oracle_smoke(rng):
         want = oracle.check_bounded(models, f, k, sem, paper_literal)
         got = solve(assemble_qbf(f, models, k, sem, paper_literal)).value
         assert got == want, (sem, k, paper_literal, hl.render_formula(f))
+
+
+def test_qcir_round_trip_keeps_value():
+    # criterion 1's instances, under every semantics: the QCIR text expands
+    # each table gate, and the parsed document must decide the same way
+    from hyperbmc.qbf import emit_qcir, parse_qcir
+
+    rng = random.Random(101)
+    for _ in range(120):
+        models, f = rand_instance(rng, max_quants=2, depth=3, halting=True)
+        k = rng.randint(0, 3)
+        layout = build_layout(models, f, k)
+        for sem in oracle.SEMANTICS:
+            q = assemble_qbf(f, models, k, sem, layout=layout)
+            assert solve(parse_qcir(emit_qcir(q))).value == solve(q).value, (sem, k)

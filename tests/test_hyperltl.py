@@ -55,6 +55,20 @@ def test_parse_long_conjunction():
     assert sum(isinstance(b, Atom) for b in hl.walk(f.body)) == 3000
 
 
+def test_normalize_long_conjunction():
+    # desugar and the NNF pass once recursed per nested operator, and the
+    # 2999 ANDs above 3000 biconditionals raised RecursionError
+    text = "forall A. forall B. " + " & ".join(["(a[A] <-> a[B])"] * 3000)
+    f = normalize(parse_formula(text))
+    kinds = [type(b) for b in hl.walk(f.body)]
+    # each (x <-> y) becomes (x & y) | (!x & !y)
+    assert (kinds.count(And), kinds.count(Or), kinds.count(NegAtom)) == (8999, 3000, 6000)
+    g = negate(parse_formula(text))
+    assert g.prefix == (("exists", "A"), ("exists", "B"))
+    kinds = [type(b) for b in hl.walk(g.body)]
+    assert (kinds.count(And), kinds.count(Or), kinds.count(NegAtom)) == (3000, 8999, 6000)
+
+
 def test_parse_long_conjunction_unbound_last():
     with pytest.raises(UnboundVariableError) as e:
         parse_formula("forall A. " + " & ".join(["a[A]"] * 2999 + ["b[B]"]))

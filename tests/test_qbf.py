@@ -584,3 +584,78 @@ def test_single_mixed_disjunct_takes_one_product(monkeypatch):
         calls[0] = 0
         solve(q)
         assert calls[0] == 1
+
+
+def rand_table_prenex(rng):
+    """2-3 alternating blocks over a matrix whose leaves are mostly table gates.
+
+    Each table is an OR of 1-4 cubes over offsets 0-2, and its gates sit
+    at random bases, so one table is read over several windows of
+    variables and across blocks.
+    """
+    c = Circuit()
+    n = rng.randint(3, 8)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, 2)))
+    quant = rng.choice([EXISTS, FORALL])
+    blocks = []
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        blocks.append((quant, tuple(range(lo, hi))))
+        quant = FORALL if quant == EXISTS else EXISTS
+    tables = [
+        c.table(
+            tuple(2 * o + rng.randint(0, 1) for o in sorted(rng.sample(range(3), rng.randint(1, 3))))
+            for _ in range(rng.randint(1, 4))
+        )
+        for _ in range(rng.randint(1, 3))
+    ]
+
+    def build(depth):
+        if depth == 0 or rng.random() < 0.3:
+            if rng.random() < 0.2:
+                return c.var(rng.randrange(n))
+            return c.table_gate(rng.choice(tables), rng.randint(0, n - 3))
+        node = (c.and_ if rng.random() < 0.5 else c.or_)(
+            [build(depth - 1) for _ in range(rng.randint(2, 3))]
+        )
+        return c.not_(node) if rng.random() < 0.3 else node
+
+    return make_prenex(c, blocks, build(rng.randint(1, 4)), {v: f"x{v}" for v in range(n)})
+
+
+def test_table_gates_agree_with_naive_evaluator(rng):
+    for _ in range(300):
+        q = rand_table_prenex(rng)
+        want = naive_qbf(q.blocks, lambda env: q.circuit.evaluate(q.matrix, env))
+        assert solve(q).value == want
+        assert solve(parse_qcir(emit_qcir(q))).value == want
+
+
+def test_table_bdds_survive_collection_after_every_gate(rng, monkeypatch):
+    # every gate is followed by a collection, which renumbers the arena;
+    # each table's BDD must stay pinned and be relocated under its new handle
+    from hyperbmc import bdd
+    from hyperbmc.qbf import _compile
+
+    collections = [0]
+
+    def always_collect(self, pinned):
+        collections[0] += 1
+        self.collect(pinned)
+
+    monkeypatch.setattr(bdd.BDD, "maybe_collect", always_collect)
+    c = Circuit()
+    xnor = c.table([(0, 2), (1, 3)])  # offsets 0 and 1 agree
+    gates = [c.table_gate(xnor, i) for i in range(9)]
+    root = c.or_([c.and_(gates[:5]), c.and_([gates[5], gates[8], c.not_(gates[6])])])
+    mgr = bdd.BDD()
+    f = _compile(c, mgr, root)
+    assert collections[0] > 9
+    for bits in itertools.product((False, True), repeat=10):
+        env = dict(enumerate(bits))
+        g = f
+        while g > bdd.TRUE:
+            g = mgr.hi[g] if env[mgr.level[g]] else mgr.lo[g]
+        assert (g == bdd.TRUE) == c.evaluate(root, env)
+    for _ in range(40):
+        q = rand_table_prenex(rng)
+        assert solve(q).value == naive_qbf(q.blocks, lambda env: q.circuit.evaluate(q.matrix, env))
