@@ -5,6 +5,11 @@ ints; 0 is the constant false and 1 the constant true. Identical subtrees
 always share one node, and constants fold at construction time, so a node
 handle equal to 0 or 1 means the subcircuit is that constant.
 
+An AND or OR gate keeps the operands it is given, sorted and without
+duplicates or the unit; it folds on the absorbing constant and on x with
+NOT x. A nested gate of its own kind stays one operand, so an unrolled
+G, each step a gate over the next, grows linearly in the bound.
+
 Every node carries the bitmask of variables in its support, which lets
 cofactoring skip entire subDAGs that do not mention the variable.
 
@@ -68,26 +73,15 @@ class Circuit:
         return self._mk(K_NOT, n, self.masks[n])
 
     def _gate(self, kind, items, unit, zero):
-        kinds = self.kinds
-        payloads = self.payloads
-        flat = []
-        for n in items:
-            if n == unit:
-                continue
-            if n == zero:
-                return zero
-            if kinds[n] == kind:
-                flat.extend(payloads[n])
-            else:
-                flat.append(n)
-        if not flat:
-            return unit
-        children = sorted(set(flat))
-        if len(children) == 1:
-            return children[0]
-        seen = set(children)
+        seen = set(items)
+        if zero in seen:
+            return zero
+        seen.discard(unit)
+        if len(seen) < 2:
+            return seen.pop() if seen else unit
+        children = sorted(seen)
+        kinds, payloads, masks = self.kinds, self.payloads, self.masks
         mask = 0
-        masks = self.masks
         for n in children:
             if kinds[n] == K_NOT and payloads[n] in seen:
                 return zero

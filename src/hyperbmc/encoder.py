@@ -183,7 +183,7 @@ def encode_body(body, k, sem, layout, circ: Circuit, paper_literal=False) -> int
             # at the bound, i+1 falls off the unrolling
             if sem in (oracle.PES, oracle.CLASSIC):
                 return ct.FALSE
-            if sem in (oracle.OPT, oracle.CLASSIC_DUAL):
+            if sem == oracle.OPT:
                 return ct.TRUE
             return _halting((yield b.sub, k))
         if isinstance(b, hl.Until):
@@ -195,8 +195,6 @@ def encode_body(body, k, sem, layout, circ: Circuit, paper_literal=False) -> int
                 return ct.TRUE
             if sem == oracle.CLASSIC:
                 return (yield b.right, k)
-            if sem == oracle.CLASSIC_DUAL:
-                return circ.or_([(yield b.right, k), (yield b.left, k)])
             return _halting((yield b.right, k))
         if isinstance(b, hl.Release):
             if i < k:
@@ -207,8 +205,6 @@ def encode_body(body, k, sem, layout, circ: Circuit, paper_literal=False) -> int
                 return ct.TRUE
             if sem == oracle.CLASSIC:
                 return circ.and_([(yield b.right, k), (yield b.left, k)])
-            if sem == oracle.CLASSIC_DUAL:
-                return (yield b.right, k)
             arm = b.left if paper_literal else b.right
             return _halting((yield arm, k))
         raise EncodeError(f"body not in NNF core: {b!r}")
@@ -230,7 +226,7 @@ def assemble_qbf(formula, models, k, sem, paper_literal=False, layout=None) -> P
     quantifier combines with the body first, each outer structure wraps
     the rest with AND for an existential and implication for a universal.
     """
-    if sem not in (*oracle.SEMANTICS, oracle.CLASSIC_DUAL):
+    if sem not in oracle.SEMANTICS:
         raise EncodeError(f"unknown semantics {sem!r}")
     circ = Circuit()
     if layout is None:

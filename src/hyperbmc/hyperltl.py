@@ -150,12 +150,23 @@ def _tokenize(text):
     return tokens
 
 
+# Deeper parentheses are a syntax error: each level costs the parser ten
+# stack frames, well inside Python's default recursion limit of 1000.
+MAX_NESTING = 64
+
+_PREFIX = {"!": Not, "X": Next, "F": Eventually, "G": Always}
+
+
 class _FormulaParser:
-    """Recursive descent; precedence !XFG > U/R/W > & > | > -> > <->."""
+    """Recursive descent; precedence !XFG > U/R/W > & > | > -> > <->.
+
+    Operator chains are parsed in loops; only parentheses nest calls.
+    """
 
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # parentheses open at the current token
 
     def peek(self):
         return self.tokens[self.i]
@@ -193,19 +204,22 @@ class _FormulaParser:
         _check_closed(f)
         return f
 
+    def right_chain(self, ops, operand):
+        """operand (op operand)*, grouped to the right; ops maps each op's text to its node."""
+        operands, makes = [operand()], []
+        while self.peek()[1] in ops:
+            makes.append(ops[self.next()[1]])
+            operands.append(operand())
+        node = operands.pop()
+        while makes:
+            node = makes.pop()(operands.pop(), node)
+        return node
+
     def parse_iff(self):
-        left = self.parse_implies()
-        if self.peek()[0] == "iff":
-            self.next()
-            return Iff(left, self.parse_iff())
-        return left
+        return self.right_chain({"<->": Iff}, self.parse_implies)
 
     def parse_implies(self):
-        left = self.parse_or()
-        if self.peek()[0] == "imp":
-            self.next()
-            return Implies(left, self.parse_implies())
-        return left
+        return self.right_chain({"->": Implies}, self.parse_or)
 
     def parse_or(self):
         left = self.parse_and()
@@ -222,39 +236,27 @@ class _FormulaParser:
         return left
 
     def parse_binary_temporal(self):
-        left = self.parse_unary()
-        kind, val, _ = self.peek()
-        if kind == "id" and val in ("U", "R", "W"):
-            self.next()
-            right = self.parse_binary_temporal()
-            if val == "U":
-                return Until(left, right)
-            if val == "R":
-                return Release(left, right)
-            return WeakUntil(left, right)
-        return left
+        return self.right_chain({"U": Until, "R": Release, "W": WeakUntil}, self.parse_unary)
 
     def parse_unary(self):
-        kind, val, pos = self.peek()
-        if kind == "not":
-            self.next()
-            return Not(self.parse_unary())
-        if kind == "id" and val in ("X", "F", "G"):
-            self.next()
-            sub = self.parse_unary()
-            if val == "X":
-                return Next(sub)
-            if val == "F":
-                return Eventually(sub)
-            return Always(sub)
-        return self.parse_atom()
+        makes = []
+        while self.peek()[1] in _PREFIX:
+            makes.append(_PREFIX[self.next()[1]])
+        node = self.parse_atom()
+        while makes:
+            node = makes.pop()(node)
+        return node
 
     def parse_atom(self):
         kind, val, pos = self.peek()
         if kind == "lp":
+            if self.depth == MAX_NESTING:
+                self.error(f"parentheses nested deeper than {MAX_NESTING}")
             self.next()
+            self.depth += 1
             body = self.parse_iff()
             self.expect("rp")
+            self.depth -= 1
             return body
         if kind == "id":
             if val == "true":
@@ -320,19 +322,20 @@ def rewrite(root, rule, key):
     frozen dataclass hashes by recursing through its whole subformula.
     """
     memo = {}
-    stack = [(root, rule(root))]
+    stack = [(key(root), rule(root))]
     sent = None
     while stack:
-        item, gen = stack[-1]
+        item_key, gen = stack[-1]
         try:
             need = gen.send(sent)
         except StopIteration as done:
             stack.pop()
-            sent = memo[key(item)] = done.value
+            sent = memo[item_key] = done.value
             continue
-        sent = memo.get(key(need))
+        need_key = key(need)
+        sent = memo.get(need_key)
         if sent is None:
-            stack.append((need, rule(need)))
+            stack.append((need_key, rule(need)))
     return sent
 
 
@@ -424,24 +427,27 @@ def classify_fragment(f: HyperFormula) -> str:
     return NEITHER
 
 
+_OP_TEXT = {
+    Not: "!", Next: "X ", Eventually: "F ", Always: "G ",
+    And: "&", Or: "|", Implies: "->", Iff: "<->", Until: "U", Release: "R", WeakUntil: "W",
+}
+
+
 def render_body(b: Body) -> str:
-    if isinstance(b, Const):
-        return "true" if b.value else "false"
-    if isinstance(b, Atom):
-        return f"{b.ap}[{b.var}]"
-    if isinstance(b, NegAtom):
-        return f"!{b.ap}[{b.var}]"
-    if isinstance(b, Not):
-        return f"!({render_body(b.sub)})"
-    if isinstance(b, Next):
-        return f"X ({render_body(b.sub)})"
-    if isinstance(b, Eventually):
-        return f"F ({render_body(b.sub)})"
-    if isinstance(b, Always):
-        return f"G ({render_body(b.sub)})"
-    ops = {And: "&", Or: "|", Implies: "->", Iff: "<->", Until: "U", Release: "R", WeakUntil: "W"}
-    op = ops[type(b)]
-    return f"({render_body(b.left)} {op} {render_body(b.right)})"
+    """Concrete syntax of a body, every operator application parenthesized."""
+
+    def go(b):
+        if isinstance(b, Const):
+            return "true" if b.value else "false"
+        if isinstance(b, (Atom, NegAtom)):
+            return f"{'!' if isinstance(b, NegAtom) else ''}{b.ap}[{b.var}]"
+        if isinstance(b, (Not, Next, Eventually, Always)):
+            sub = yield b.sub
+            return f"{_OP_TEXT[type(b)]}({sub})"
+        left, right = (yield b.left), (yield b.right)
+        return f"({left} {_OP_TEXT[type(b)]} {right})"
+
+    return rewrite(b, go, key=id)
 
 
 def render_formula(f: HyperFormula) -> str:

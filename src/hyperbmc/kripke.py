@@ -288,18 +288,19 @@ def enumerate_prefixes(k: KripkeStructure, bound: int) -> list:
     for s, d in sorted(k.trans, key=lambda e: (order[e[0]], order[e[1]])):
         succ[s].append(d)
     out = []
-    path = [k.init]
-
-    def walk():
-        if len(path) == bound + 1:
-            out.append(make_prefix(k, tuple(path)))
-            return
-        for d in succ[path[-1]]:
+    # depth first without recursion: todo[j] yields the candidates for step j
+    path, todo = [], [iter((k.init,))]
+    while todo:
+        d = next(todo[-1], None)
+        if d is None:
+            todo.pop()
+            if path:
+                path.pop()
+        elif len(path) == bound:
+            out.append(make_prefix(k, (*path, d)))
+        else:
             path.append(d)
-            walk()
-            path.pop()
-
-    walk()
+            todo.append(iter(succ[d]))
     return out
 
 

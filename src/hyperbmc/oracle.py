@@ -1,8 +1,8 @@
 """Ground-truth bounded evaluator over explicitly enumerated trace prefixes.
 
 This is the reference implementation the circuit encoder is tested against:
-a literal recursion over the bounded satisfaction rules, with quantifiers
-ranging over enumerated prefixes. It trades all efficiency for obviousness.
+the bounded satisfaction rules applied literally, with quantifiers ranging
+over enumerated prefixes. It trades all efficiency for obviousness.
 """
 
 from . import hyperltl as hl
@@ -47,29 +47,23 @@ def dual(sem: str) -> str:
     }[sem]
 
 
-def _halted(assignment, k):
-    return all(prefix.halted[k] for prefix in assignment.values())
-
-
 def eval_body(assignment, i, body, k, sem, paper_literal=False):
     """Bounded truth of an NNF body at step i under one semantics.
 
     `assignment` maps every trace variable mentioned by the body to a
     TracePrefix of length k+1. The temporal cases at i=k branch on the
-    semantics; everything below k is shared by all of them. Results are
-    memoized per (subformula, step) for the duration of one call.
+    semantics; everything below k is shared by all of them. The rules run
+    on hyperltl.rewrite, so neither k nor the body's depth meets the
+    recursion limit; they short-circuit as a recursion would, and results
+    are memoized per (subformula, step) for the duration of one call.
     """
-    memo = {}
 
-    def go(b, i):
-        key = (id(b), i)
-        if key in memo:
-            return memo[key]
-        value = run(b, i)
-        memo[key] = value
-        return value
+    def halting(at_k):
+        halted = all(prefix.halted[k] for prefix in assignment.values())
+        return halted and at_k if sem == HPES else not halted or at_k
 
-    def run(b, i):
+    def run(item):
+        b, i = item
         if isinstance(b, hl.Const):
             return b.value
         if isinstance(b, (hl.Atom, hl.NegAtom)):
@@ -82,55 +76,51 @@ def eval_body(assignment, i, body, k, sem, paper_literal=False):
                 holds = b.ap in prefix.letters[i]
             return holds if isinstance(b, hl.Atom) else not holds
         if isinstance(b, hl.And):
-            return go(b.left, i) and go(b.right, i)
+            return (yield b.left, i) and (yield b.right, i)
         if isinstance(b, hl.Or):
-            return go(b.left, i) or go(b.right, i)
+            return (yield b.left, i) or (yield b.right, i)
 
         if isinstance(b, hl.Next):
             if i < k:
-                return go(b.sub, i + 1)
+                return (yield b.sub, i + 1)
             if sem in (PES, CLASSIC):
                 return False
             if sem in (OPT, CLASSIC_DUAL):
                 return True
-            at_k = go(b.sub, k)
-            return _halted(assignment, k) and at_k if sem == HPES else not _halted(assignment, k) or at_k
+            return halting((yield b.sub, k))
 
         if isinstance(b, hl.Until):
             if i < k:
-                return go(b.right, i) or (go(b.left, i) and go(b, i + 1))
+                return (yield b.right, i) or ((yield b.left, i) and (yield b, i + 1))
             if sem == PES:
                 return False
             if sem == OPT:
                 return True
             if sem == CLASSIC:
-                return go(b.right, k)
+                return (yield b.right, k)
             if sem == CLASSIC_DUAL:
-                return go(b.right, k) or go(b.left, k)
-            at_k = go(b.right, k)
-            return _halted(assignment, k) and at_k if sem == HPES else not _halted(assignment, k) or at_k
+                return (yield b.right, k) or (yield b.left, k)
+            return halting((yield b.right, k))
 
         if isinstance(b, hl.Release):
             if i < k:
-                return go(b.right, i) and (go(b.left, i) or go(b, i + 1))
+                return (yield b.right, i) and ((yield b.left, i) or (yield b, i + 1))
             if sem == PES:
                 return False
             if sem == OPT:
                 return True
             if sem == CLASSIC:
-                return go(b.right, k) and go(b.left, k)
+                return (yield b.right, k) and (yield b.left, k)
             if sem == CLASSIC_DUAL:
-                return go(b.right, k)
+                return (yield b.right, k)
             # The printed rule tests the left argument here; that breaks both
             # monotonicity and exactness on halted traces, so the default tests
             # the right one and paper_literal restores the printed behavior.
-            arm = b.left if paper_literal else b.right
-            at_k = go(arm, k)
-            return _halted(assignment, k) and at_k if sem == HPES else not _halted(assignment, k) or at_k
+            return halting((yield b.left if paper_literal else b.right, k))
 
         raise OracleError(f"body not in NNF core: {b!r}")
 
-    return go(body, i)
+    return hl.rewrite((body, i), run, key=lambda item: (id(item[0]), item[1]))
 
 
 def check_bounded(models, formula, k, sem, paper_literal=False):

@@ -101,7 +101,9 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     Where it stops (an existential over AND, a universal over OR), the
     children that do mention them are joined and quantified in one
     relational product. So a block's quantifier meets its own unrolling
-    and the body, never the unrollings of outer traces.
+    and the body, never the unrollings of outer traces. A gate keeps its
+    operands as built (circuit.py), so a stop's children, and the split
+    body's below, are read through the nested gates of the same kind.
 
     The product is split over the body (Burch, Clarke, Long 1991) when
     exactly one child of the stop mixes `variables` with others, that
@@ -140,18 +142,30 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     def mixes(n):
         return masks[n] & qmask and masks[n] & ~qmask
 
-    def split_body(n):
-        """The child of a stop node whose product is split (see above), or None."""
-        mixed = [c for c in payloads[n] if mixes(c)]
-        if len(mixed) != 1:
-            return None
-        body = mixed[0]
-        if kinds[body] != (ct.K_OR if kinds[n] == ct.K_AND else ct.K_AND):
-            return None
-        return body if sum(1 for d in payloads[body] if mixes(d)) >= 2 else None
+    def operands(n):
+        """A gate's operands, read through the nested gates of its own kind."""
+        out, gates, todo = set(), {n}, [n]
+        while todo:
+            for c in payloads[todo.pop()]:
+                if kinds[c] != kinds[n]:
+                    out.add(c)
+                elif c not in gates:
+                    gates.add(c)
+                    todo.append(c)
+        return sorted(out)
+
+    def stop_operands(n):
+        """(A stop's operands, None), or if split (see above) (the rest, the body's)."""
+        own = operands(n)
+        mixed = [c for c in own if mixes(c)]
+        if len(mixed) == 1 and kinds[mixed[0]] == (ct.K_OR if kinds[n] == ct.K_AND else ct.K_AND):
+            parts = operands(mixed[0])
+            if sum(1 for d in parts if mixes(d)) >= 2:
+                return [c for c in own if c != mixed[0]], parts
+        return own, None
 
     kids = {}
-    splits = {}  # stop node's key -> its child whose product is split
+    stops = {}  # stop's key -> stop_operands of its node
     order = []
     stack = [(key_of(root, quant), False)]
     while stack:
@@ -167,12 +181,11 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
             ks = (key_of(payloads[n], flip[mode]),)
         elif k in (ct.K_AND, ct.K_OR) and mode == (_FORALL if k == ct.K_AND else _EXISTS):
             ks = tuple(key_of(c, mode) for c in payloads[n])
-        elif k in (ct.K_AND, ct.K_OR):
+        elif k in (ct.K_AND, ct.K_OR) and mode == _PLAIN:
             ks = tuple(3 * c for c in payloads[n])
-            if mode != _PLAIN and (body := split_body(n)) is not None:
-                splits[key] = body
-                ks = tuple(3 * c for c in payloads[n] if c != body)
-                ks += tuple(3 * d for d in payloads[body])
+        elif k in (ct.K_AND, ct.K_OR):
+            own, disjuncts = stops[key] = stop_operands(n)
+            ks = tuple(3 * c for c in own + (disjuncts or []))
         else:
             ks = ()
         kids[key] = ks
@@ -212,12 +225,11 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         # ones over its variables alone (the block's unrolling) are joined
         # first, so the product meets the body once, as its last operand.
         # A split body gets one product per child that mentions them.
-        body = splits.get(key)
-        own = [c for c in payloads[n] if c != body]
+        own, disjuncts = stops[key]
         pure = [memo[3 * c] for c in own if masks[c] & qmask and not masks[c] & ~qmask]
         outside = [memo[3 * c] for c in own if not masks[c] & qmask]
         qop = bdd.OR if mode == _EXISTS else bdd.AND
-        if body is None:
+        if disjuncts is None:
             inside = pure + [memo[3 * c] for c in own if mixes(c)]
             node = mgr.quantify(op, qop, mgr.join(op, inside[:-1]), inside[-1], variables)
         else:
@@ -227,7 +239,7 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
             node = mgr.join(qop, [
                 mgr.quantify(op, qop, guard, memo[3 * d], variables) if masks[d] & qmask
                 else memo[3 * d]
-                for d in payloads[body]
+                for d in disjuncts
             ])
         return mgr.join(op, [node, *outside])
 

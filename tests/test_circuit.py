@@ -32,14 +32,6 @@ def test_complement_annihilation():
     assert c.or_([x, c.not_(x), y]) == TRUE
 
 
-def test_flattening():
-    c = Circuit()
-    x, y, z = c.var(0), c.var(1), c.var(2)
-    nested = c.and_([c.and_([x, y]), z])
-    flat = c.and_([x, y, z])
-    assert nested == flat
-
-
 def test_restrict_and_evaluate_agree():
     c = Circuit()
     x, y, z = c.var(0), c.var(1), c.var(2)

@@ -250,3 +250,35 @@ def test_check_long_conjunction(capsys, tmp_path):
     # both traces start in the initial state, and the body reads step 0 only
     assert code == 0
     assert "verdict: HOLDS" in out
+
+
+CYCLE = "ap a; states s0 s1; init s0; label s0 {a}; label s1 {}; trans s0 -> s1; trans s1 -> s0;\n"
+
+
+def test_deep_inputs_do_not_crash(capsys, tmp_path):
+    # each of these once raised RecursionError and exited 70
+    model = tmp_path / "cycle.kr"
+    model.write_text(CYCLE)
+    m = ("--model-default", str(model))
+    # the witness re-check at k=1000: G is true on every step, the bound
+    # decides nothing more under opt, so the check cannot conclude
+    code, _, err = run(
+        capsys, "check", "--formula", "exists A. G (a[A] | !a[A])", *m,
+        "--semantics", "opt", "-k", "1000", "--from", "1000",
+    )
+    assert (code, err) == (2, "")
+    # prefix enumeration and evaluation at k=1200
+    code, out, _ = run(
+        capsys, "oracle", "--formula", "exists A. F !a[A]", *m, "-k", "1200", "--semantics", "pes",
+    )
+    assert code == 0 and out.strip() == "true"
+    # parentheses too deep to parse are an input error
+    deep = "exists A. " + "(" * 150 + "a[A]" + ")" * 150
+    code, _, err = run(capsys, "check", "--formula", deep, *m, "-k", "2")
+    assert code == 65 and "nested deeper" in err
+    # long prefix and right-associative chains
+    code, _, _ = run(capsys, "check", "--formula", "exists A. " + "X " * 1000 + "a[A]", *m, "-k", "2")
+    assert code == 2
+    chain = "forall A. " + " -> ".join(["a[A]"] * 3000)
+    code, out, _ = run(capsys, "check", "--formula", chain, *m, "-k", "2")
+    assert code == 0 and "verdict: HOLDS" in out

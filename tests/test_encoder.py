@@ -318,6 +318,22 @@ def test_transition_tables_differ_by_stride():
     assert len(circ.tables) == 4
 
 
+def test_unrolling_grows_linearly_in_the_bound():
+    # each step of G's unrolling is a gate over the next step's gate, not a
+    # copy of its conjuncts, so the operands of all gates grow as k, not k²
+    complete = parse_kripke(
+        "ap a; states s0 s1; init s0; label s0 {a}; label s1 {}; "
+        "trans s0 -> s0; trans s0 -> s1; trans s1 -> s0; trans s1 -> s1;"
+    )
+    f = normalize(parse_formula("forall A. exists B. G (a[A] <-> a[B])"))
+
+    def operands(k):
+        c = assemble_qbf(f, {"A": complete, "B": complete}, k, oracle.OPT).circuit
+        return sum(len(c.payloads[n]) for n in range(len(c)) if c.kinds[n] in (ct.K_AND, ct.K_OR))
+
+    assert (operands(1000), operands(2000)) == (10_004, 20_004)
+
+
 def test_encoder_matches_oracle_smoke(rng):
     for _ in range(150):
         models, f = rand_instance(rng, halting=rng.random() < 0.5)

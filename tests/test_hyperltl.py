@@ -69,6 +69,26 @@ def test_normalize_long_conjunction():
     assert (kinds.count(And), kinds.count(Or), kinds.count(NegAtom)) == (3000, 8999, 6000)
 
 
+def test_parse_long_chains():
+    # right-associative and prefix chains once recursed once per operator
+    f = parse_formula("forall A. " + " -> ".join(["a[A]"] * 3000))
+    assert sum(isinstance(b, hl.Implies) for b in hl.walk(f.body)) == 2999
+    assert isinstance(f.body.right, hl.Implies)  # grouped to the right
+    g = parse_formula("exists A. " + "X " * 1000 + "!a[A]")
+    assert [type(b) for b in hl.walk(g.body)] == [Next] * 1000 + [Not, Atom]
+    assert hl.render_formula(g) == "exists A. " + "X (" * 1000 + "!(a[A])" + ")" * 1000
+    assert hl.render_formula(f).count("->") == 2999
+
+
+def test_parse_nesting_limit():
+    def nested(depth):
+        return "exists A. " + "(" * depth + "a[A]" + ")" * depth
+
+    assert parse_formula(nested(hl.MAX_NESTING)).body == Atom("a", "A")
+    with pytest.raises(FormulaSyntaxError, match="nested deeper"):
+        parse_formula(nested(hl.MAX_NESTING + 1))
+
+
 def test_parse_long_conjunction_unbound_last():
     with pytest.raises(UnboundVariableError) as e:
         parse_formula("forall A. " + " & ".join(["a[A]"] * 2999 + ["b[B]"]))

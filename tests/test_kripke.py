@@ -205,3 +205,12 @@ def test_enumerate_order_deterministic():
     second = [p.states for p in enumerate_prefixes(k, 2)]
     assert first == second
     assert first[0] == ("s0", "s0", "s0")  # declaration order guides the walk
+
+
+def test_enumerate_deep_bound():
+    # the walk once recursed once per step and raised RecursionError
+    cycle = parse_kripke(
+        "ap a; states s0 s1; init s0; label s0 {a}; label s1 {}; trans s0 -> s1; trans s1 -> s0;"
+    )
+    (prefix,) = enumerate_prefixes(cycle, 2000)
+    assert prefix.states == ("s0", "s1") * 1000 + ("s0",)

@@ -276,3 +276,18 @@ def test_until_release_closed_forms(rng):
                         {"A": prefix}, 0, Release(atom(lhs), atom(rhs)), k, sem
                     )
                     assert got_r == _closed_release(lhs, rhs, letters, k, sem), (lhs, rhs, k, sem, letters)
+
+
+def test_eval_body_deep_bound():
+    # the evaluator once recursed once per step of G and F and raised
+    # RecursionError near k=1000
+    cycle = parse_kripke(
+        "ap a; states s0 s1; init s0; label s0 {a}; label s1 {}; trans s0 -> s1; trans s1 -> s0;"
+    )
+    models = {"A": cycle}
+    always = normalize(parse_formula("exists A. G (a[A] | !a[A])"))
+    assert oracle.check_bounded(models, always, 1200, oracle.OPT) is True
+    assert oracle.check_bounded(models, always, 1200, oracle.PES) is False
+    # F !a holds at step 1, before the bound decides anything
+    eventually = normalize(parse_formula("exists A. F !a[A]"))
+    assert oracle.check_bounded(models, eventually, 1200, oracle.PES) is True

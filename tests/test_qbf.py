@@ -537,14 +537,20 @@ def test_split_fires_once_per_mixed_disjunct(monkeypatch):
     def mixes(n):
         return bool(c.masks[n] & qmask and c.masks[n] & ~qmask)
 
+    def operands(n):
+        # a gate's children, read through nested gates of its own kind
+        nested = [m for m in c.payloads[n] if c.kinds[m] == c.kinds[n]]
+        own = {m for m in c.payloads[n] if c.kinds[m] != c.kinds[n]}
+        return own.union(*map(operands, nested))
+
     # ∃Q passes the root's OR and stops at the one child that mentions Q
     (stop,) = [n for n in c.payloads[q.matrix] if c.masks[n] & qmask]
-    (body,) = [n for n in c.payloads[stop] if mixes(n)]
+    (body,) = [n for n in operands(stop) if mixes(n)]
     assert c.kinds[stop] == circuit.K_AND and c.kinds[body] == circuit.K_OR
-    guards = [n for n in c.payloads[stop] if n != body]
+    guards = [n for n in operands(stop) if n != body]
     assert all(not c.masks[n] & ~qmask for n in guards)
-    disjuncts = [d for d in c.payloads[body] if mixes(d)]
-    assert len(disjuncts) >= 2 and len(disjuncts) == len(c.payloads[body])
+    disjuncts = [d for d in operands(body) if mixes(d)]
+    assert len(disjuncts) >= 2 and len(disjuncts) == len(operands(body))
 
     calls = _count_products(monkeypatch)
     # handles from separate calls are compared: no collection may renumber them
