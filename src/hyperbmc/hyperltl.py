@@ -433,21 +433,38 @@ _OP_TEXT = {
 }
 
 
+# How tightly each binary operator binds in the parser, loosest first.
+# And and Or chains group to the left, the others to the right.
+_PREC = {Iff: 0, Implies: 1, Or: 2, And: 3, Until: 4, Release: 4, WeakUntil: 4}
+_UNARY, _ATOM = 5, 6
+
+
 def render_body(b: Body) -> str:
-    """Concrete syntax of a body, every operator application parenthesized."""
+    """Concrete syntax of a body that parses back to it.
+
+    An operand is parenthesized only where the parser's precedence needs
+    it, so a chain renders as flat as it parses. A NegAtom renders as
+    `!p[X]`, which parses to Not(Atom).
+    """
 
     def go(b):
         if isinstance(b, Const):
-            return "true" if b.value else "false"
-        if isinstance(b, (Atom, NegAtom)):
-            return f"{'!' if isinstance(b, NegAtom) else ''}{b.ap}[{b.var}]"
+            return ("true" if b.value else "false"), _ATOM
+        if isinstance(b, Atom):
+            return f"{b.ap}[{b.var}]", _ATOM
+        if isinstance(b, NegAtom):
+            return f"!{b.ap}[{b.var}]", _UNARY
         if isinstance(b, (Not, Next, Eventually, Always)):
-            sub = yield b.sub
-            return f"{_OP_TEXT[type(b)]}({sub})"
-        left, right = (yield b.left), (yield b.right)
-        return f"({left} {_OP_TEXT[type(b)]} {right})"
+            sub, prec = yield b.sub
+            return _OP_TEXT[type(b)] + (sub if prec >= _UNARY else f"({sub})"), _UNARY
+        prec = _PREC[type(b)]
+        # the side a chain groups to takes an operand of the same precedence bare
+        least = (prec, prec + 1) if isinstance(b, (And, Or)) else (prec + 1, prec)
+        sides = [(yield b.left), (yield b.right)]
+        left, right = (t if p >= m else f"({t})" for (t, p), m in zip(sides, least))
+        return f"{left} {_OP_TEXT[type(b)]} {right}", prec
 
-    return rewrite(b, go, key=id)
+    return rewrite(b, go, key=id)[0]
 
 
 def render_formula(f: HyperFormula) -> str:

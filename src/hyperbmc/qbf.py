@@ -103,7 +103,10 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     relational product. So a block's quantifier meets its own unrolling
     and the body, never the unrollings of outer traces. A gate keeps its
     operands as built (circuit.py), so a stop's children, and the split
-    body's below, are read through the nested gates of the same kind.
+    body's below, are read through the nested gates of the same kind that
+    mix `variables` with others. A nested gate over `variables` alone, or
+    over none of them, stays one operand: the block's unrolling is then
+    one BDD, like the outer traces' unrollings (see below).
 
     The product is split over the body (Burch, Clarke, Long 1991) when
     exactly one child of the stop mixes `variables` with others, that
@@ -118,12 +121,25 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     a valid guard making the stop TRUE. With one mixed disjunct the split
     would add products and separate nothing.
 
-    A table (see circuit.py) is built once, by or_of_cubes at base 0, and
-    relocated to each of its gates' bases; a gate under a quantifier
-    quantifies its relocated copy. The encoder reads each model's label
-    sets and transition relation through such gates, one table each.
+    Each node has a shape: the node up to a constant shift of its
+    variables, with an offset. A variable's shape is its kind at offset
+    its id; a table gate's is its table at offset its base; a NOT's is its
+    child's shape under NOT, at the child's offset; an AND/OR gate's offset
+    is its least child offset, and its shape is its kind with the set of
+    (child shape, child offset - own offset) pairs. Nodes of one shape are
+    the same function shifted by the difference of their offsets. So only
+    the first gate of each shape that is built without a quantifier is
+    built from its children (a table gate by or_of_cubes at its base);
+    every later one relocates that BDD (BDD.relocate), the current/next
+    renaming of symbolic model checking applied to any gate. Two traces
+    of one model unroll it into one shape, and each step of the body
+    repeats the shapes of the last. A copy lists the first gate as its
+    only child, so that BDD lives until its last copy is made, and no
+    shape equals a descendant's, so the first is built before its
+    copies. A table gate under a quantifier quantifies its plain BDD.
 
-    The circuit is walked twice without recursion: once to list each
+    Shapes take one pass over the arena in id order (children first).
+    The circuit is then walked twice without recursion: once to list each
     (node, quantifier) pair below root in post-order with its children,
     and once to build their BDDs. A pair's BDD is dropped as soon as its
     last parent is built, and the arena is collected on the live ones.
@@ -143,11 +159,11 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         return masks[n] & qmask and masks[n] & ~qmask
 
     def operands(n):
-        """A gate's operands, read through the nested gates of its own kind."""
+        """A gate's operands, read through the nested gates of its own kind that mix."""
         out, gates, todo = set(), {n}, [n]
         while todo:
             for c in payloads[todo.pop()]:
-                if kinds[c] != kinds[n]:
+                if kinds[c] != kinds[n] or not mixes(c):
                     out.add(c)
                 elif c not in gates:
                     gates.add(c)
@@ -164,8 +180,26 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
                 return [c for c in own if c != mixed[0]], parts
         return own, None
 
+    # Each node's shape, interned to an int, and its offset (see above).
+    shape, off = [0] * len(kinds), [0] * len(kinds)
+    shapes = {}
+    for n in range(2, len(kinds)):
+        k, p = kinds[n], payloads[n]
+        if k == ct.K_VAR:
+            s, off[n] = (k,), p
+        elif k == ct.K_TABLE:
+            s, off[n] = (k, p[0]), p[1]
+        elif k == ct.K_NOT:
+            s, off[n] = (k, shape[p]), off[p]
+        else:
+            o = off[n] = min(off[c] for c in p)
+            s = (k, *sorted((shape[c], off[c] - o) for c in p))
+        shape[n] = shapes.setdefault(s, len(shapes))
+
     kids = {}
     stops = {}  # stop's key -> stop_operands of its node
+    first = {}  # shape -> its first PLAIN gate key, which later ones relocate
+    moved = {}  # key of a relocated copy -> its shift from the first key
     order = []
     stack = [(key_of(root, quant), False)]
     while stack:
@@ -177,7 +211,16 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
             continue
         n, mode = divmod(key, 3)
         k = kinds[n]
-        if k == ct.K_NOT:
+        if mode == _PLAIN and k in (ct.K_NOT, ct.K_AND, ct.K_OR, ct.K_TABLE):
+            origin = first.setdefault(shape[n], key)
+            if origin != key:
+                moved[key] = off[n] - off[origin // 3]
+                kids[key] = (origin,)
+                order.append(key)
+                continue
+        if k == ct.K_TABLE and mode != _PLAIN:
+            ks = (3 * n,)
+        elif k == ct.K_NOT:
             ks = (key_of(payloads[n], flip[mode]),)
         elif k in (ct.K_AND, ct.K_OR) and mode == (_FORALL if k == ct.K_AND else _EXISTS):
             ks = tuple(key_of(c, mode) for c in payloads[n])
@@ -192,16 +235,15 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         stack.append((key, True))
         stack.extend((c, False) for c in ks if c not in kids)
 
-    # memo holds the BDDs of the live (node, quantifier) pairs and, under
-    # ("table", id), each table's BDD at base 0, which every gate of the
-    # table relocates; collections keep and renumber both.
-    memo = {}
+    memo = {}  # the BDDs of the live (node, quantifier) pairs
 
     def build(key):
         """BDD of one (node, quantifier) pair from its children's BDDs."""
         n, mode = divmod(key, 3)
         k = kinds[n]
         ks = kids[key]
+        if key in moved:
+            return mgr.relocate(memo[ks[0]], moved[key])
         if k == ct.K_CONST:
             return n
         if k == ct.K_VAR:
@@ -211,12 +253,11 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         if k == ct.K_NOT:
             return mgr.not_(memo[ks[0]])
         if k == ct.K_TABLE:
+            if mode != _PLAIN:
+                eliminate = mgr.exists if mode == _EXISTS else mgr.forall
+                return eliminate(memo[ks[0]], variables)
             tid, base = payloads[n]
-            if ("table", tid) not in memo:
-                memo["table", tid] = mgr.or_of_cubes(circ.tables[tid])
-            node = mgr.relocate(memo["table", tid], base)
-            eliminate = mgr.exists if mode == _EXISTS else mgr.forall
-            return node if mode == _PLAIN else eliminate(node, variables)
+            return mgr.or_of_cubes([[x + 2 * base for x in c] for c in circ.tables[tid]])
         op = bdd.AND if k == ct.K_AND else bdd.OR
         if mode == _PLAIN or mode == (_FORALL if k == ct.K_AND else _EXISTS):
             return mgr.join(op, [memo[c] for c in ks])

@@ -76,8 +76,26 @@ def test_parse_long_chains():
     assert isinstance(f.body.right, hl.Implies)  # grouped to the right
     g = parse_formula("exists A. " + "X " * 1000 + "!a[A]")
     assert [type(b) for b in hl.walk(g.body)] == [Next] * 1000 + [Not, Atom]
-    assert hl.render_formula(g) == "exists A. " + "X (" * 1000 + "!(a[A])" + ")" * 1000
+    assert hl.render_formula(g) == "exists A. " + "X " * 1000 + "!a[A]"
     assert hl.render_formula(f).count("->") == 2999
+
+
+def test_render_formula_parses_back(rng):
+    for _ in range(500):
+        f = hl.HyperFormula(
+            prefix=((hl.FORALL, "A"), (hl.EXISTS, "B")),
+            body=rand_body(rng, ["A", "B"], ["a", "b"], rng.randint(1, 5)),
+        )
+        assert parse_formula(hl.render_formula(f)) == f
+    # chains as the parser groups them render without parentheses, so
+    # long ones stay within MAX_NESTING
+    for text in (
+        "forall A. forall B. " + " & ".join(["(a[A] <-> a[B])"] * 3000),
+        "forall A. " + " -> ".join(["a[A]"] * 3000),
+        "forall A. " + " | ".join(["a[A] U X a[A] R !a[A]"] * 1000),
+        "exists A. " + "X " * 1000 + "!a[A]",
+    ):
+        assert hl.render_formula(parse_formula(text)) == text
 
 
 def test_parse_nesting_limit():

@@ -665,3 +665,165 @@ def test_table_bdds_survive_collection_after_every_gate(rng, monkeypatch):
     for _ in range(40):
         q = rand_table_prenex(rng)
         assert solve(q).value == naive_qbf(q.blocks, lambda env: q.circuit.evaluate(q.matrix, env))
+
+
+def _support(mgr, f):
+    """The levels a BDD tests."""
+    seen, todo = set(), [f]
+    while todo:
+        x = todo.pop()
+        if x > 1 and x not in seen:
+            seen.add(x)
+            todo += [mgr.lo[x], mgr.hi[x]]
+    return frozenset(mgr.level[x] for x in seen)
+
+
+def test_unrolling_joined_once_per_model(monkeypatch):
+    # Both traces unroll one model, so their unrollings are one shape: the
+    # first is joined from its k+1 table gates, the other relocated. The
+    # inner one stays one operand at the quantifier's stop, so its gates
+    # are not joined again there as the product's guard.
+    from hyperbmc import bdd, oracle
+    from hyperbmc.encoder import assemble_qbf
+    from hyperbmc.hyperltl import negate, normalize, parse_formula
+    from hyperbmc.models import builtin_spec, gen_grid, gen_nonrepudiation
+
+    grid = gen_grid(4, 4, {(0, 1), (1, 1), (2, 1)}, [(0, 0)], {(0, 3)})
+    cases = [
+        (negate(parse_formula(builtin_spec("fair_nonrepudiation").formula)),
+         gen_nonrepudiation("incorrect"), 3, oracle.HPES),
+        (normalize(parse_formula(builtin_spec("shortest_path").formula)), grid, 6, oracle.CLASSIC),
+    ]
+    # calls whose result is over one whole block; the wrappers read the
+    # current case's k and blocks
+    whole = {"join": 0, "relocate": 0}
+    for name in whole:
+        method = getattr(bdd.BDD, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            r = _method(self, *args)
+            if (_name == "relocate" or len(args[1]) == k + 1) and _support(self, r) in blocks:
+                whole[_name] += 1
+            return r
+
+        monkeypatch.setattr(bdd.BDD, name, counted)
+    for formula, structure, k, sem in cases:
+        q = assemble_qbf(formula, {v: structure for _, v in formula.prefix}, k, sem)
+        blocks = [frozenset(vs) for _, vs in q.blocks]
+        assert len(blocks) == 2
+        whole.update(join=0, relocate=0)
+        solve(q)
+        assert whole == {"join": 1, "relocate": 1}
+
+
+def rand_shifted_prenex(rng):
+    """2-3 alternating blocks over a matrix of shifted copies of random subcircuits.
+
+    Each template is a random circuit over a window of 2-3 variables,
+    built at several bases, so its copies fall outside the innermost
+    block, inside it, or across its edge; the copies sit under NOT, AND
+    and OR gates, some of them repeated in shifted copies of their own.
+    """
+    c = Circuit()
+    n = rng.randint(5, 9)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, 2)))
+    quant = rng.choice([EXISTS, FORALL])
+    blocks = []
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        blocks.append((quant, tuple(range(lo, hi))))
+        quant = FORALL if quant == EXISTS else EXISTS
+
+    def template(depth, width):
+        if depth == 0 or rng.random() < 0.2:
+            return ("var", rng.randrange(width))
+        if rng.random() < 0.3:
+            return ("not", template(depth - 1, width))
+        return (rng.choice(["and", "or"]), [template(depth - 1, width) for _ in range(rng.randint(2, 3))])
+
+    def build(t, base):
+        if t[0] == "var":
+            return c.var(base + t[1])
+        if t[0] == "not":
+            return c.not_(build(t[1], base))
+        return (c.and_ if t[0] == "and" else c.or_)([build(s, base) for s in t[1]])
+
+    width = rng.randint(2, 3)
+    shapes = [template(rng.randint(1, 3), width) for _ in range(rng.randint(1, 2))]
+    outer = ("and" if rng.random() < 0.5 else "or", shapes + [("var", width - 1)])
+    copies = [build(rng.choice(shapes + [outer]), rng.randint(0, n - width)) for _ in range(rng.randint(3, 6))]
+    copies = [c.not_(x) if rng.random() < 0.3 else x for x in copies]
+    rng.shuffle(copies)
+    mid = rng.randint(1, len(copies) - 1)
+    halves = [c.and_(copies[:mid]), c.or_(copies[mid:])]
+    matrix = (c.and_ if rng.random() < 0.5 else c.or_)([c.not_(halves[0]), halves[1]])
+    return make_prenex(c, blocks, matrix, {v: f"x{v}" for v in range(n)})
+
+
+def test_shifted_copies_agree_with_naive_evaluator(rng, monkeypatch):
+    from hyperbmc import bdd
+    from hyperbmc.qbf import _compile
+
+    relocations = [0]
+    relocate = bdd.BDD.relocate
+
+    def counted(self, f, shift):
+        relocations[0] += 1
+        return relocate(self, f, shift)
+
+    monkeypatch.setattr(bdd.BDD, "relocate", counted)
+    for i in range(300):
+        q = rand_shifted_prenex(rng)
+        c = q.circuit
+        want = naive_qbf(q.blocks, lambda env: c.evaluate(q.matrix, env))
+        assert solve(q).value == want
+        if i % 10:
+            continue
+        mgr = bdd.BDD()
+        f = _compile(c, mgr, q.matrix)
+        n = max(v for _, vs in q.blocks for v in vs) + 1
+        for bits in itertools.product((False, True), repeat=n):
+            env = dict(enumerate(bits))
+            g = f
+            while g > bdd.TRUE:
+                g = mgr.hi[g] if env[mgr.level[g]] else mgr.lo[g]
+            assert (g == bdd.TRUE) == c.evaluate(q.matrix, env)
+    # the circuits have no table gates: every relocation is a shifted copy
+    assert relocations[0] >= 300
+
+
+_HASH_PROBE = """
+from hyperbmc import bdd, encoder, oracle, qbf
+from hyperbmc.hyperltl import negate, parse_formula
+from hyperbmc.models import builtin_spec, gen_nonrepudiation
+
+arena, relocate = [], bdd.BDD.relocate
+def counted(self, f, shift):
+    arena.append(len(self))
+    return relocate(self, f, shift)
+bdd.BDD.relocate = counted
+formula = negate(parse_formula(builtin_spec("fair_nonrepudiation").formula))
+structure = gen_nonrepudiation("incorrect")
+q = encoder.assemble_qbf(formula, {v: structure for _, v in formula.prefix}, 5, oracle.HPES)
+print(qbf.solve(q).value, len(arena), arena)
+"""
+
+
+def test_relocations_do_not_depend_on_hashing():
+    # the same solve relocates as often, at the same arena sizes, under
+    # any string hash seed
+    import os
+    import subprocess
+
+    from hyperbmc import qbf
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qbf.__file__)))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _HASH_PROBE],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert runs[0] == runs[1]
+    assert int(runs[0].split()[1]) > 0
