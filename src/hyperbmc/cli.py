@@ -5,7 +5,8 @@
     hyperbmc gen    ...   write bundled case-study models and formulas
 
 Exit codes for `check`: 0 the property holds, 1 it fails, 2 no conclusion
-at the bound; 64 and up for usage or input errors; 70 for an internal error.
+at the bound; 64 and up for usage or input errors (64 for bad or missing
+arguments); 70 for an internal error.
 """
 
 import argparse
@@ -127,6 +128,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.k < 0:
+        raise driver.ConfigError("bounds must be nonnegative")
     formula = _read_formula(args.formula)
     mdl = _load_models(formula, args.model, args.model_default)
     f = hl.negate(formula) if args.negate else hl.normalize(formula)
@@ -162,8 +165,16 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Bad or missing arguments exit EXIT_USAGE; argparse's own 2 reads as UNKNOWN."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hyperbmc", description=__doc__.strip().splitlines()[0])
+    parser = _ArgumentParser(prog="hyperbmc", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="bounded model checking")

@@ -47,7 +47,6 @@ class CheckConfig:
     paper_literal: bool = False
     solver: str = "builtin"  # or an external command template with {file}
     emit_qcir_path: str | None = None
-    node_cap: int = qbf.DEFAULT_NODE_CAP
     solver_timeout: float | None = None
 
 
@@ -156,7 +155,7 @@ def check(cfg: CheckConfig) -> Verdict:
             with open(cfg.emit_qcir_path, "w") as fh:
                 fh.write(qbf.emit_qcir(q))
         if cfg.solver == "builtin":
-            result = qbf.solve(q, node_cap=cfg.node_cap)
+            result = qbf.solve(q)
         else:
             result = qbf.run_external(cfg.solver, q, timeout=cfg.solver_timeout)
 

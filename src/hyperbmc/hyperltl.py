@@ -122,9 +122,6 @@ class HyperFormula:
     prefix: tuple  # ((quantifier, trace variable), ...)
     body: Body
 
-    def variables(self):
-        return tuple(v for _, v in self.prefix)
-
 
 _TOKEN = re.compile(
     r"\s+|(?P<lp>\()|(?P<rp>\))|(?P<lb>\[)|(?P<rb>\])|(?P<dot>\.)"

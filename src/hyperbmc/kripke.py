@@ -42,6 +42,7 @@ class DanglingReferenceError(KripkeError):
 HALT_AP = "@halt"
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_SKIP = re.compile(r"(?:\s|#[^\n]*)*")  # whitespace and line comments
 
 
 @dataclass(frozen=True)
@@ -109,31 +110,14 @@ class _Parser:
     def __init__(self, text):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
 
     def error(self, msg):
-        raise KripkeSyntaxError(msg, self.line, self.col)
-
-    def _advance(self, n):
-        for ch in self.text[self.pos : self.pos + n]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
+        line = self.text.count("\n", 0, self.pos) + 1
+        column = self.pos - self.text.rfind("\n", 0, self.pos)
+        raise KripkeSyntaxError(msg, line, column)
 
     def skip_ws(self):
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "#":
-                end = self.text.find("\n", self.pos)
-                self._advance((end if end != -1 else len(self.text)) - self.pos)
-            elif ch.isspace():
-                self._advance(1)
-            else:
-                break
+        self.pos = _SKIP.match(self.text, self.pos).end()
 
     def at_end(self):
         self.skip_ws()
@@ -144,14 +128,13 @@ class _Parser:
         m = _IDENT.match(self.text, self.pos)
         if not m:
             self.error("expected identifier")
-        self._advance(m.end() - self.pos)
+        self.pos = m.end()
         return m.group()
 
     def expect(self, tok):
-        self.skip_ws()
-        if not self.text.startswith(tok, self.pos):
+        if not self.peek(tok):
             self.error(f"expected {tok!r}")
-        self._advance(len(tok))
+        self.pos += len(tok)
 
     def peek(self, tok):
         self.skip_ws()
@@ -193,8 +176,6 @@ def parse_kripke(text: str) -> KripkeStructure:
                 name = p.ident()
                 if name in declared_aps:
                     p.error(f"duplicate proposition {name!r}")
-                if name.startswith("@"):
-                    p.error(f"user proposition may not start with '@': {name!r}")
                 declared_aps.add(name)
                 aps.append(name)
             p.expect(";")

@@ -1,8 +1,11 @@
 """Case-study model generators and the built-in formula library.
 
-Every generator returns a validated KripkeStructure with deterministic
-state naming (breadth-first from the initial state, fixed action orders),
-so variable layouts and QCIR output are reproducible run to run.
+Every generator describes its model by a successor, name and label
+function and hands them to one breadth-first explorer, `_explore`, which
+builds and validates the KripkeStructure. State order (breadth-first from
+the initial state, successors in a fixed order) and state names are
+deterministic, so variable layouts and QCIR output are reproducible run
+to run.
 """
 
 from dataclasses import dataclass
@@ -12,6 +15,36 @@ from .kripke import KripkeStructure, validate
 
 class ModelError(ValueError):
     """Bad input to a generator or the formula library: map, variant, spec name."""
+
+
+def _explore(init, successors, name, letter, aps, halting=lambda node: False):
+    """The structure of all nodes reachable from `init`, validated.
+
+    States are the reachable nodes in breadth-first order, taking each
+    node's successors in the order `successors(node)` lists them. Each
+    node is named once, when first reached; `letter(node)` gives its
+    propositions and `halting(node)` marks an absorbing halt state.
+    """
+    names = {init: name(init)}
+    order = [init]
+    trans = []
+    for node in order:  # order grows as new nodes are reached
+        src = names[node]
+        for succ in successors(node):
+            if succ not in names:
+                names[succ] = name(succ)
+                order.append(succ)
+            trans.append((src, names[succ]))
+    k = KripkeStructure(
+        states=tuple(names.values()),
+        init=names[init],
+        trans=frozenset(trans),
+        labels={names[node]: frozenset(letter(node)) for node in order},
+        halt=frozenset(names[node] for node in order if halting(node)),
+        aps=tuple(aps),
+    )
+    validate(k)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -63,56 +96,30 @@ def gen_bakery(n: int) -> KripkeStructure:
 
     selections = [frozenset(s for s in range(n) if (mask >> s) & 1) for mask in range(2**n)]
 
-    def name(statuses, tickets, sel):
+    def name(state):
+        statuses, tickets, sel = state
         mask = sum(1 << i for i in sel)
         st = "".join(status_char[s] for s in statuses)
         tk = "".join(str(t) for t in tickets)
         return f"q{st}_{tk}_s{mask}"
 
-    init = ((NONCRIT,) * n, (0,) * n, frozenset())
-    frontier = [init]
-    seen = {init}
-    order = []
-    trans = []
-    while frontier:
-        state = frontier.pop(0)
-        order.append(state)
-        statuses, tickets, sel = state
-        nxt_cfg = apply(statuses, tickets, sel)
-        for sel2 in selections:
-            succ = (*nxt_cfg, sel2)
-            trans.append((name(*state), name(*succ)))
-            if succ not in seen:
-                seen.add(succ)
-                frontier.append(succ)
+    def successors(state):
+        nxt_cfg = apply(*state)
+        return [(*nxt_cfg, sel) for sel in selections]
 
-    aps = [f"selectP{i}" for i in range(n)]
-    aps.append("pause")
-    for i in range(n):
-        aps.extend([f"pcP{i}_0", f"pcP{i}_1"])
-    labels = {}
-    for state in order:
-        statuses, tickets, sel = state
-        letter = {f"selectP{i}" for i in sel}
+    def letter(state):
+        statuses, _, sel = state
+        out = {f"selectP{i}" for i in sel}
         if not sel:
-            letter.add("pause")
-        for i in range(n):
-            if statuses[i] & 1:
-                letter.add(f"pcP{i}_0")
-            if statuses[i] & 2:
-                letter.add(f"pcP{i}_1")
-        labels[name(*state)] = frozenset(letter)
+            out.add("pause")
+        # status bit b of process i is pcP<i>_<b>
+        out.update(f"pcP{i}_{b}" for i in range(n) for b in (0, 1) if statuses[i] >> b & 1)
+        return out
 
-    k = KripkeStructure(
-        states=tuple(name(*s) for s in order),
-        init=name(*init),
-        trans=frozenset(trans),
-        labels=labels,
-        halt=frozenset(),
-        aps=tuple(aps),
-    )
-    validate(k)
-    return k
+    aps = [f"selectP{i}" for i in range(n)] + ["pause"]
+    aps += [f"pcP{i}_{b}" for i in range(n) for b in (0, 1)]
+    init = ((NONCRIT,) * n, (0,) * n, frozenset())
+    return _explore(init, successors, name, letter, aps)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +163,9 @@ def gen_grid(width, height, obstacles, inits, goals) -> KripkeStructure:
         (x, y), d = node
         return f"c{x}_{y}_{'i' if d is None else DIR_CHAR[d]}"
 
-    def moves(node):
+    def successors(node):
+        if node == "root":
+            return [(c, None) for c in inits]
         cell = node[0]
         if cell in goals:
             return [node]  # absorbing
@@ -167,55 +176,23 @@ def gen_grid(width, height, obstacles, inits, goals) -> KripkeStructure:
                 out.append((dst, d))
         return out or [node]  # walled in: stay put
 
-    if len(inits) == 1:
-        init_node = (inits[0], None)
-        frontier = [init_node]
-    else:
-        init_node = "root"
-        frontier = [init_node]
-
-    seen = {init_node}
-    order = []
-    trans = []
-    while frontier:
-        node = frontier.pop(0)
-        order.append(node)
+    def letter(node):
         if node == "root":
-            succs = [(c, None) for c in inits]
-        else:
-            succs = moves(node)
-        for succ in succs:
-            trans.append((name(node), name(succ)))
-            if succ not in seen:
-                seen.add(succ)
-                frontier.append(succ)
+            return ()
+        cell, d = node
+        out = {"goal"} if cell in goals else set()
+        if d is not None:
+            if d & 1:
+                out.add("mv0")
+            if d & 2:
+                out.add("mv1")
+        return out
 
-    labels = {}
-    halt = []
-    for node in order:
-        letter = set()
-        if node != "root":
-            cell, d = node
-            if cell in goals:
-                letter.add("goal")
-                halt.append(name(node))
-            if d is not None:
-                if d & 1:
-                    letter.add("mv0")
-                if d & 2:
-                    letter.add("mv1")
-        labels[name(node)] = frozenset(letter)
+    def halting(node):
+        return node != "root" and node[0] in goals
 
-    k = KripkeStructure(
-        states=tuple(name(s) for s in order),
-        init=name(init_node),
-        trans=frozenset(trans),
-        labels=labels,
-        halt=frozenset(halt),
-        aps=("goal", "mv0", "mv1"),
-    )
-    validate(k)
-    return k
+    init = (inits[0], None) if len(inits) == 1 else "root"
+    return _explore(init, successors, name, letter, ("goal", "mv0", "mv1"), halting)
 
 
 def parse_grid_map(text: str):
@@ -312,10 +289,15 @@ def gen_nonrepudiation(variant: str) -> KripkeStructure:
         return 7
 
     def delivered(pc):
-        m_b = pc >= 4
-        nro_b = pc >= 6 if correct else pc >= 5
-        nrr_a = pc >= 7
-        return m_b, nro_b, nrr_a
+        # the evidence T has passed on by program counter pc
+        out = set()
+        if pc >= 4:
+            out.add("m")
+        if pc >= (6 if correct else 5):
+            out.add("nro")
+        if pc >= 7:
+            out.add("nrr")
+        return out
 
     def name(state):
         if state[0] == "mid":
@@ -345,17 +327,9 @@ def gen_nonrepudiation(variant: str) -> KripkeStructure:
         out.append("skip")
         return out
 
-    init = ("mid", 0, False, False, False, 1, "skip", "skip")
-    frontier = [init]
-    seen = {init}
-    order = []
-    trans = []
-    while frontier:
-        state = frontier.pop(0)
-        order.append(state)
+    def successors(state):
         if state[0] == "end":
-            trans.append((name(state), name(state)))
-            continue
+            return [state]
         _, r, m_t, nro_t, nrr_t, pc, act_a, act_b = state
         m_t2 = m_t or act_a == "m"
         nro_t2 = nro_t or act_a == "nro"
@@ -363,51 +337,25 @@ def gen_nonrepudiation(variant: str) -> KripkeStructure:
         pc2 = t_step(pc, m_t, nro_t, nrr_t)
         r2 = r + 1
         if r2 == NR_ROUNDS:
-            succs = [("end", m_t2, nro_t2, nrr_t2, pc2)]
-        else:
-            succs = [
-                ("mid", r2, m_t2, nro_t2, nrr_t2, pc2, a2, b2)
-                for a2 in allowed_a(r2, m_t2, nro_t2)
-                for b2 in allowed_b(r2, nrr_t2)
-            ]
-        for succ in succs:
-            trans.append((name(state), name(succ)))
-            if succ not in seen:
-                seen.add(succ)
-                frontier.append(succ)
+            return [("end", m_t2, nro_t2, nrr_t2, pc2)]
+        return [
+            ("mid", r2, m_t2, nro_t2, nrr_t2, pc2, a2, b2)
+            for a2 in allowed_a(r2, m_t2, nro_t2)
+            for b2 in allowed_b(r2, nrr_t2)
+        ]
+
+    def letter(state):
+        if state[0] == "end":
+            return delivered(state[-1])
+        _, _, _, _, _, pc, act_a, act_b = state
+        return delivered(pc) | {f"actA_{act_a}", f"actB_{act_b}"}
+
+    def halting(state):
+        return state[0] == "end"
 
     aps = ("m", "nro", "nrr", "actA_m", "actA_nro", "actA_skip", "actB_nrr", "actB_skip")
-    labels = {}
-    halt = []
-    for state in order:
-        letter = set()
-        if state[0] == "mid":
-            _, r, m_t, nro_t, nrr_t, pc, act_a, act_b = state
-            m_b, nro_b, nrr_a = delivered(pc)
-            letter.add(f"actA_{act_a}")
-            letter.add(f"actB_{act_b}")
-        else:
-            _, m_t, nro_t, nrr_t, pc = state
-            m_b, nro_b, nrr_a = delivered(pc)
-            halt.append(name(state))
-        if m_b:
-            letter.add("m")
-        if nro_b:
-            letter.add("nro")
-        if nrr_a:
-            letter.add("nrr")
-        labels[name(state)] = frozenset(letter)
-
-    k = KripkeStructure(
-        states=tuple(name(s) for s in order),
-        init=name(init),
-        trans=frozenset(trans),
-        labels=labels,
-        halt=frozenset(halt),
-        aps=aps,
-    )
-    validate(k)
-    return k
+    init = ("mid", 0, False, False, False, 1, "skip", "skip")
+    return _explore(init, successors, name, letter, aps, halting)
 
 
 # ---------------------------------------------------------------------------

@@ -146,8 +146,11 @@ def _quantify(models, formula, k, sem, paper_literal, pinned):
     """Truth with the leading len(pinned) quantifiers fixed, the rest enumerated.
 
     The product of the remaining prefix counts is compared with the cap
-    before any prefix is enumerated.
+    before any prefix is enumerated. A negative bound has no prefixes to
+    enumerate and is rejected.
     """
+    if k < 0:
+        raise OracleError(f"bound {k} is negative")
     rest = formula.prefix[len(pinned) :]
     total = 1
     for _, var in rest:

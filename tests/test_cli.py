@@ -282,3 +282,38 @@ def test_deep_inputs_do_not_crash(capsys, tmp_path):
     chain = "forall A. " + " -> ".join(["a[A]"] * 3000)
     code, out, _ = run(capsys, "check", "--formula", chain, *m, "-k", "2")
     assert code == 0 and "verdict: HOLDS" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--formula", "exists A. a[A]"],  # missing -k
+        ["check", "--formula", "exists A. a[A]", "-k", "y"],
+        ["check", "--formula", "exists A. a[A]", "-k", "1", "--bogus"],
+        ["check", "--formula", "exists A. a[A]", "-k", "1", "--semantics", "no"],
+        [],  # no subcommand
+        ["gen"],
+    ],
+)
+def test_usage_errors_exit_64(capsys, argv):
+    # argparse's own exit code 2 would read as UNKNOWN
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 64
+    assert "usage: hyperbmc" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["check", "--help"])
+    assert e.value.code == 0
+    assert "--formula" in capsys.readouterr().out
+
+
+def test_oracle_negative_bound_is_data_error(capsys, model_file):
+    code, out, err = run(
+        capsys, "oracle", "--formula", "exists A. F a[A]", "--model-default", model_file,
+        "-k", "-1", "--semantics", "pes",
+    )
+    assert (code, out) == (65, "")
+    assert err == "error: bounds must be nonnegative\n"

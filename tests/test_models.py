@@ -1,3 +1,4 @@
+import hashlib
 import os
 from collections import deque
 
@@ -6,7 +7,7 @@ import pytest
 from hyperbmc import oracle
 from hyperbmc.driver import FAILS, HOLDS, CheckConfig, check
 from hyperbmc.hyperltl import normalize, parse_formula
-from hyperbmc.kripke import parse_kripke, validate
+from hyperbmc.kripke import parse_kripke, render, validate
 from hyperbmc.models import (
     ModelError,
     PAPER_GRID_10,
@@ -316,3 +317,34 @@ def test_robustness_case_study():
     assert v.witness is not None
     # the witness path walks right to the goal
     assert v.witness["A"].states[-1].startswith("c2_0")
+
+
+
+def test_generated_structures_are_pinned():
+    # state order, names, transitions, labels and halt set all show in the
+    # rendered text, which fixes variable layouts and QCIR downstream
+    walled_in = gen_grid(*parse_grid_map("I#...\n#..#.\n...IG\n"))  # top-left start is stuck
+    assert ("c0_2_i", "c0_2_i") in walled_in.trans and "c0_2_i" not in walled_in.halt
+    cases = {
+        "bakery2": (gen_bakery(2), "7fbf74c2a9a24fdd20f1c11a434ab4a7d6bf8797031c2b57359d6948ac2780d2"),
+        "bakery3": (gen_bakery(3), "4af92ac24e6d8ed943d29a0804b44d0bbfd5374a21f169ad05fee74ae646efb0"),
+        "nonrep-correct": (
+            gen_nonrepudiation("correct"),
+            "2b3b285bd0efe46894124fbd1efb7c1306c9520221ce01af1ede0fe8cac079f5",
+        ),
+        "nonrep-incorrect": (
+            gen_nonrepudiation("incorrect"),
+            "62745262ec0e23749e796692fbfa82d5e4acad8455114f973d1bdddc6f4d16dd",
+        ),
+        "grid10": (
+            gen_grid(*parse_grid_map(PAPER_GRID_10)),
+            "d6d7a3b7d7910fdb014c6e759c6d40c3fc529f40f62c36dcf38f067c64372530",
+        ),
+        "three-inits": (
+            gen_grid(*parse_grid_map("I...\n.#.I\nI..G\n")),
+            "7761e4082ef4081141f47696701fcc58c91f25f84285b1a2209aa3632c84e240",
+        ),
+        "walled-in": (walled_in, "dfedaf042134ce6e960b613fa9dddbb92e2980409315d38686a58a9bd163cb0a"),
+    }
+    for name, (k, digest) in cases.items():
+        assert hashlib.sha256(render(k).encode()).hexdigest() == digest, name

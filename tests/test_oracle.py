@@ -115,6 +115,16 @@ def test_explosion_guard():
         check_bounded({"A": wide, "B": wide, "C": wide}, f, 4, PES)
 
 
+def test_negative_bound_rejected():
+    # count_prefixes(m, -1) is 1, so the guard passed and the enumeration
+    # grew one path without end
+    f = normalize(parse_formula("exists A. F a[A]"))
+    with pytest.raises(oracle.OracleError, match="negative"):
+        check_bounded({"A": ONE_STATE_A}, f, -1, PES)
+    with pytest.raises(oracle.OracleError, match="negative"):
+        oracle.verify_witness({}, {"A": ONE_STATE_A}, f, -1, PES)
+
+
 def test_verify_witness_guard_before_enumeration():
     # count_prefixes(grid10, 20) is 2,353,498,645: the cap must be checked on
     # the counts, before a single residual prefix is enumerated
