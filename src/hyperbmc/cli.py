@@ -6,7 +6,10 @@
 
 Exit codes for `check`: 0 the property holds, 1 it fails, 2 no conclusion
 at the bound; 64 and up for usage or input errors (64 for bad or missing
-arguments); 70 for an internal error.
+arguments, 65 for bad input); 66 when the check could not finish: a
+solver, oracle or driver error, such as the builtin solver's node cap, a
+failing external solver, or running out of memory; 70 for an internal
+error.
 """
 
 import argparse
@@ -21,6 +24,7 @@ from .kripke import KripkeError, parse_kripke, render
 EXIT_BY_VERDICT = {driver.HOLDS: 0, driver.FAILS: 1, driver.UNKNOWN: 2}
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_CHECK = 66  # the check could not finish; see the module docstring
 EXIT_SOFTWARE = 70  # sysexits EX_SOFTWARE: a crash must not read as a verdict
 
 MODES = ("falsify", "prove", "raw")
@@ -235,7 +239,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (oracle.OracleError, driver.DriverError, qbf.QbfError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA + 1
+        return EXIT_CHECK
+    except MemoryError:
+        print("error: out of memory: the check needs more memory than this process may use",
+              file=sys.stderr)
+        return EXIT_CHECK
     except Exception as e:
         detail = " ".join(str(e).split())
         print(f"error: internal error: {type(e).__name__}: {detail}", file=sys.stderr)

@@ -9,7 +9,9 @@ formula, turning an established negation into a refutation with a
 counterexample and vice versa.
 """
 
+import math
 import os
+import shlex
 from dataclasses import dataclass
 
 from . import hyperltl as hl
@@ -107,6 +109,15 @@ def _validate_config(cfg: CheckConfig):
         raise ConfigError("bounds must be nonnegative")
     if cfg.semantics not in oracle.SEMANTICS:
         raise ConfigError(f"unknown semantics {cfg.semantics!r}")
+    if cfg.solver != "builtin":
+        try:
+            shlex.split(cfg.solver)
+        except ValueError as e:
+            raise ConfigError(f"cannot split external solver command {cfg.solver!r}: {e}") from None
+        if "{file}" not in cfg.solver:
+            raise ConfigError("external solver command must contain a {file} placeholder")
+        if cfg.solver_timeout is not None and not 0 <= cfg.solver_timeout < math.inf:
+            raise ConfigError(f"solver timeout {cfg.solver_timeout} is not a finite nonnegative number")
     for _, var in cfg.formula.prefix:
         if var not in cfg.models:
             raise ConfigError(f"no model assigned to trace variable {var!r}")

@@ -502,10 +502,14 @@ def run_external(command_template: str, q: PrenexQBF, timeout: float | None = No
     """
     if "{file}" not in command_template:
         raise QbfError("external solver command must contain a {file} placeholder")
+    try:
+        parts = shlex.split(command_template)
+    except ValueError as e:
+        raise QbfError(f"cannot split external solver command {command_template!r}: {e}") from None
     with tempfile.NamedTemporaryFile(mode="w", suffix=".qcir", delete=False) as fh:
         fh.write(emit_qcir(q))
         path = fh.name
-    argv = [part.replace("{file}", path) for part in shlex.split(command_template)]
+    argv = [part.replace("{file}", path) for part in parts]
     try:
         proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
     except FileNotFoundError as e:

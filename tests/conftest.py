@@ -2,13 +2,25 @@
 
 import random
 from collections import deque
+from functools import cache, reduce
+from operator import and_, or_
 
 import pytest
 
+from hyperbmc import circuit as ct
 from hyperbmc import hyperltl as hl
 from hyperbmc import oracle
+from hyperbmc.bdd import TRUE
 from hyperbmc.kripke import KripkeStructure, validate
 from hyperbmc.models import DIRS
+from hyperbmc.qbf import EXISTS, make_prenex, solve
+
+
+# Two states, each with both as successors: every path of every length.
+COMPLETE_KR = (
+    "ap a; states s0 s1; init s0; label s0 {a}; label s1 {}; "
+    "trans s0 -> s0; trans s0 -> s1; trans s1 -> s0; trans s1 -> s1;"
+)
 
 
 def rand_kripke(rng, max_states=4, max_aps=2, halting=False, dense=False):
@@ -136,36 +148,117 @@ def rand_instance(rng, max_quants=2, depth=3, halting=False, dense=False):
 
 
 # ---------------------------------------------------------------------------
-# Independent reference: naive recursive QBF evaluation
+# Independent reference: exhaustive QBF evaluation on truth tables
+#
+# A truth table over the variables 0..n-1 is one int of 2^n bits: bit a is
+# the function's value where each variable v takes bit v of a. Bit
+# operations on these ints evaluate every assignment at once.
 
 
-def naive_qbf(blocks, matrix_eval, default=None):
-    """Decide a prenex QBF by recursing over blocks and enumerating leaves.
+@cache
+def variable_table(v, n):
+    """Truth table of variable v: the assignments whose bit v is set."""
+    width = 1 << v
+    return ((1 << width) - 1 << width) * (((1 << (1 << n)) - 1) // ((1 << 2 * width) - 1))
 
-    `matrix_eval` gets a dict var -> bool covering every block variable.
+
+def truth_table(circuit, root, n):
+    """Truth table of the circuit's node root over the variables 0..n-1."""
+    ones = (1 << (1 << n)) - 1
+    below, todo = {root}, [root]
+    while todo:
+        for c in circuit.children(todo.pop()):
+            if c not in below:
+                below.add(c)
+                todo.append(c)
+    table = {}
+    for m in sorted(below):  # a node is made after its children
+        k, p = circuit.kinds[m], circuit.payloads[m]
+        if k == ct.K_CONST:
+            table[m] = ones if p else 0
+        elif k == ct.K_VAR:
+            table[m] = variable_table(p, n)
+        elif k == ct.K_NOT:
+            table[m] = table[p] ^ ones
+        elif k == ct.K_AND:
+            table[m] = reduce(and_, map(table.get, p), ones)
+        elif k == ct.K_OR:
+            table[m] = reduce(or_, map(table.get, p), 0)
+        else:  # a table gate: an OR of cubes of literals above its base
+            tid, base = p
+            table[m] = 0
+            for cube in circuit.tables[tid]:
+                literals = (variable_table(base + (c >> 1), n) ^ (0 if c & 1 else ones) for c in cube)
+                table[m] |= reduce(and_, literals, ones)
+    return table[root]
+
+
+def fold(table, n, blocks):
+    """Quantify the blocks' variables out of a truth table, innermost first:
+    the OR (∃) or AND (∀) of the table and its copy with the variable flipped."""
+    ones = (1 << (1 << n)) - 1
+    for quant, variables in reversed(blocks):
+        for v in variables:
+            x = variable_table(v, n)
+            flipped = (table >> (1 << v)) & (x ^ ones) | (table << (1 << v)) & x
+            table = table | flipped if quant == EXISTS else table & flipped
+    return table
+
+
+def reference(q):
+    """The value of a prenex QBF, and the truth table over its outer block
+    of the rest of it: all other blocks quantified."""
+    n = 1 + max(v for _, vs in q.blocks for v in vs)
+    residual = fold(truth_table(q.circuit, q.matrix, n), n, q.blocks[1:])
+    return bool(fold(residual, n, q.blocks[:1]) & 1), residual
+
+
+def check_result(q, r):
+    """Check solve's result r on the QBF q against the reference.
+
+    The value must be the reference's. A witness is there exactly when the
+    outer block's choice decides the value; it must assign the whole outer
+    block, and both the reference with that block pinned to it and a
+    solve of what is left once it is substituted must give the value.
     """
-    variables = [v for _, vs in blocks for v in vs]
-    quants = {}
-    for quant, vs in blocks:
-        for v in vs:
-            quants[v] = quant
+    value, residual = reference(q)
+    assert r.value == value
+    quant, variables = q.blocks[0]
+    assert (r.outer_witness is not None) == ((quant == EXISTS) == value)
+    if r.outer_witness is not None:
+        assert set(r.outer_witness) == set(variables)
+        assert (residual >> sum(1 << v for v, b in r.outer_witness.items() if b)) & 1 == value
+        m = q.matrix
+        for v, b in r.outer_witness.items():
+            m = q.circuit.restrict(m, v, b)
+        assert solve(make_prenex(q.circuit, q.blocks[1:], m, q.var_names)).value is value
 
-    def go(idx, assignment):
-        if idx == len(variables):
-            return matrix_eval(assignment)
-        v = variables[idx]
-        results = []
-        for value in (False, True):
-            assignment[v] = value
-            results.append(go(idx + 1, assignment))
-            del assignment[v]
-            if quants[v] == "exists" and results[-1]:
-                return True
-            if quants[v] == "forall" and not results[-1]:
-                return False
-        return results[-1] if quants[v] == "exists" else True
+
+def naive_qbf(q):
+    """The value of a prenex QBF by recursion over its variables, outer to
+    inner; a small cross-check of the truth-table reference."""
+    order = [(quant, v) for quant, vs in q.blocks for v in vs]
+
+    def go(i, env):
+        if i == len(order):
+            return q.circuit.evaluate(q.matrix, env)
+        quant, v = order[i]
+        branches = (go(i + 1, {**env, v: b}) for b in (False, True))
+        return any(branches) if quant == EXISTS else all(branches)
 
     return go(0, {})
+
+
+def bdd_value(mgr, f, assignment):
+    """Value of the BDD f under an assignment (level -> bool), read along its path."""
+    while f > TRUE:
+        f = mgr.hi[f] if assignment[mgr.level[f]] else mgr.lo[f]
+    return f == TRUE
+
+
+def bdd_table(mgr, f, n):
+    """Truth table of the BDD f over the levels 0..n-1, read one path per assignment."""
+    return sum(bdd_value(mgr, f, {v: a >> v & 1 for v in range(n)}) << a for a in range(1 << n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,12 @@
-import itertools
 import random
 
 import pytest
 
 from hyperbmc.bdd import AND, BDD, FALSE, OR, TRUE, NodeCapError
 from hyperbmc.circuit import Circuit
-from hyperbmc.qbf import EXISTS, ResourceLimitError, make_prenex, solve
+from hyperbmc.qbf import EXISTS, FORALL, ResourceLimitError, make_prenex, solve
 
-
-def evaluate(mgr, f, env):
-    while f > TRUE:
-        f = mgr.hi[f] if env[mgr.level[f]] else mgr.lo[f]
-    return f == TRUE
+from conftest import bdd_table, bdd_value, fold, truth_table, variable_table
 
 
 def rand_expr(rng, n, depth):
@@ -23,13 +18,14 @@ def rand_expr(rng, n, depth):
     return (kind, rand_expr(rng, n, depth - 1), rand_expr(rng, n, depth - 1))
 
 
-def truth(e, env):
+def truth(e, n):
+    """Truth table of the expression over the variables 0..n-1 (see conftest.truth_table)."""
     if e[0] == "var":
-        return env[e[1]]
+        return variable_table(e[1], n)
     if e[0] == "not":
-        return not truth(e[1], env)
-    a, b = truth(e[1], env), truth(e[2], env)
-    return a and b if e[0] == "and" else a or b
+        return truth(e[1], n) ^ ((1 << (1 << n)) - 1)
+    a, b = truth(e[1], n), truth(e[2], n)
+    return a & b if e[0] == "and" else a | b
 
 
 def build(mgr, e):
@@ -48,19 +44,13 @@ def test_operations_match_truth_tables():
         e1, e2 = rand_expr(rng, n, 4), rand_expr(rng, n, 4)
         f, g = build(mgr, e1), build(mgr, e2)
         qvars = [v for v in range(n) if rng.random() < 0.5]
-        products = {
-            (op, qop): mgr.quantify(op, qop, f, g, qvars) for op in (AND, OR) for qop in (AND, OR)
-        }
-        for bits in itertools.product((False, True), repeat=n):
-            env = dict(enumerate(bits))
-            assert evaluate(mgr, f, env) == truth(e1, env)
-            for (op, qop), r in products.items():
-                values = []
-                for qbits in itertools.product((False, True), repeat=len(qvars)):
-                    env2 = {**env, **dict(zip(qvars, qbits))}
-                    a, b = truth(e1, env2), truth(e2, env2)
-                    values.append(a and b if op == AND else a or b)
-                assert evaluate(mgr, r, env) == (any(values) if qop == OR else all(values))
+        t1, t2 = truth(e1, n), truth(e2, n)
+        assert bdd_table(mgr, f, n) == t1
+        for op in (AND, OR):
+            for qop in (AND, OR):
+                r = mgr.quantify(op, qop, f, g, qvars)
+                want = fold(t1 & t2 if op == AND else t1 | t2, n, [(EXISTS if qop == OR else FORALL, qvars)])
+                assert bdd_table(mgr, r, n) == want
 
 
 def test_canonical_and_collect_keeps_pinned_functions():
@@ -76,8 +66,7 @@ def test_canonical_and_collect_keeps_pinned_functions():
     pinned = {"f": f}
     mgr.collect(pinned)
     assert len(mgr) < before
-    for bits in itertools.product((False, True), repeat=2):
-        assert evaluate(mgr, pinned["f"], dict(enumerate(bits))) == (bits[0] == bits[1])
+    assert bdd_table(mgr, pinned["f"], 2) == 0b1001  # x0 == x1 at 00 and 11
     assert mgr.var(0) != pinned["f"]
 
 
@@ -157,9 +146,9 @@ def test_relocate_matches_direct_build_across_collect():
             mgr.apply(AND, mgr.var(60), mgr.var(61))  # garbage for the collection
             mgr.collect(pinned)
             g = mgr.relocate(pinned["f"], d)
-            for bits in itertools.product((False, True), repeat=n):
-                env = dict(enumerate(bits))
-                assert evaluate(mgr, g, {v + d: b for v, b in env.items()}) == truth(e, env)
+            t = truth(e, n)
+            for a in range(1 << n):
+                assert bdd_value(mgr, g, {v + d: a >> v & 1 for v in range(n)}) == bool(t >> a & 1)
 
 
 def test_compile_keeps_shapes_across_collections(monkeypatch):
@@ -185,6 +174,4 @@ def test_compile_keeps_shapes_across_collections(monkeypatch):
     mgr = BDD()
     f = _compile(c, mgr, root)
     assert len(collections) > 9
-    for bits in itertools.product((False, True), repeat=10):
-        env = dict(enumerate(bits))
-        assert evaluate(mgr, f, env) == c.evaluate(root, env)
+    assert bdd_table(mgr, f, 10) == truth_table(c, root, 10)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from hyperbmc.cli import main
+
+from conftest import COMPLETE_KR
 
 MINIMAL = "ap a b; states s0; init s0; label s0 {a}; trans s0 -> s0;\n"
 
@@ -226,6 +231,56 @@ def test_stray_lookup_error_is_internal(capsys, model_file, monkeypatch):
     assert out == ""
     assert err.startswith("error: internal error: KeyError:")
 
+
+
+@pytest.mark.parametrize(
+    "options, solver_env",
+    [
+        (["--solver", 'external:"quabs {file}'], ""),  # cannot be split
+        ([], '"x {file}'),
+        (["--solver", "external:quabs"], ""),  # no {file}
+        (["--solver", "external:quabs {file}", "--timeout", "-1"], ""),
+        (["--solver", "external:quabs {file}", "--timeout", "nan"], ""),
+    ],
+)
+def test_bad_solver_options_are_data_errors(capsys, model_file, monkeypatch, options, solver_env):
+    # each once failed only after the first bound was encoded: an unsplittable
+    # command or a NaN timeout with exit 70, a negative timeout as a timeout
+    from hyperbmc import driver
+
+    encoded = []
+    monkeypatch.setattr(driver, "assemble_qbf", lambda *args, **kwargs: encoded.append(args))
+    monkeypatch.setenv(driver.SOLVER_ENV, solver_env)  # "" reads as unset
+    code, out, err = run(
+        capsys, "check", "--formula", "exists A. a[A]", "--model-default", model_file, "-k", "1", *options
+    )
+    assert (code, out, encoded) == (65, "", [])
+    assert err.startswith("error: ")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the address-space limit is enforced on Linux")
+def test_out_of_memory_exits_66(tmp_path):
+    # the ∀∃ sweep at k=6000 needs about 100 MB; in a 60 MB address space
+    # it once ended as an internal error (exit 70)
+    import resource
+
+    from hyperbmc import cli
+
+    model = tmp_path / "complete.kr"
+    model.write_text(COMPLETE_KR)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    argv = [
+        "check", "--formula", "forall A. exists B. G (a[A] <-> a[B])", "--model-default", str(model),
+        "--semantics", "opt", "-k", "6000", "--from", "6000",
+    ]
+    cap = 60 * 2**20
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperbmc.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (proc.returncode, proc.stdout) == (66, "")
+    assert proc.stderr.startswith("error: out of memory")
 
 
 def test_undecodable_model_is_data_error(capsys, tmp_path):

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import os
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,6 +144,12 @@ _FAULTS = [
     ("--model", "Z=" + _NI), ("--model", "A"), ("--bogus", ""),
 ]
 
+# No solver drawn here starts a program: the external ones lack {file},
+# cannot be split, or name a file that does not exist.
+_MISSING_SOLVER = "/nonexistent/solver-binary {file}"
+_SOLVERS = ["builtin", "external:solver", 'external:"quabs {file}', "external:" + _MISSING_SOLVER]
+_SOLVER_ENV = ["", "builtin", '"x {file}', _MISSING_SOLVER]  # "" reads as unset
+
 
 @st.composite
 def cli_argv(draw):
@@ -159,6 +166,8 @@ def cli_argv(draw):
     if command == "check":
         options["--mode"] = draw(st.sampled_from(["falsify", "prove", "raw"]))
         options["--format"] = draw(st.sampled_from(["text", "json"]))
+        options["--solver"] = draw(st.sampled_from([None, *_SOLVERS]))
+        options["--timeout"] = draw(st.sampled_from([None, "-1", "0", "2.5", "inf", "nan"]))
     else:
         options["--negate"] = draw(st.sampled_from(["", None]))
     fault = draw(st.one_of(st.none(), st.sampled_from(_FAULTS)))
@@ -171,9 +180,10 @@ def cli_argv(draw):
     return argv
 
 
-def _run_cli(argv):
+def _run_cli(argv, solver_env):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    solver = mock.patch.dict(os.environ, {"HYPERBMC_SOLVER": solver_env})
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), solver:
         try:
             code = main(argv)
         except SystemExit as e:
@@ -185,9 +195,9 @@ def test_cli_ends_in_a_verdict_or_an_error_code():
     codes = set()
 
     @settings(FUZZ, max_examples=100)
-    @given(cli_argv())
-    def run(argv):
-        code, out = _run_cli(argv)
+    @given(cli_argv(), st.sampled_from(_SOLVER_ENV))
+    def run(argv, solver_env):
+        code, out = _run_cli(argv, solver_env)
         codes.add(code)
         if code in (0, 1, 2) and argv[0] == "check":
             if "json" in argv:
@@ -200,5 +210,5 @@ def test_cli_ends_in_a_verdict_or_an_error_code():
             assert code in (64, 65, 66), (argv, code)
 
     run()
-    assert {0, 2, 64, 65} <= codes
+    assert {0, 2, 64, 65, 66} <= codes
 

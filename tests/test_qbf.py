@@ -1,6 +1,6 @@
-import itertools
 import stat
 import sys
+from functools import partial
 
 import pytest
 
@@ -19,7 +19,7 @@ from hyperbmc.qbf import (
     solve,
 )
 
-from conftest import naive_qbf
+from conftest import COMPLETE_KR, bdd_table, check_result, naive_qbf, reference, truth_table
 
 
 def simple_qbf(blocks_spec, build):
@@ -77,18 +77,10 @@ def test_worked_five_variable_formula():
     r = solve(q)
     assert r.value is True
     assert set(r.outer_witness) == {0}
-    # brute force: both x1 values admit a winning strategy, and the solver
-    # tries false first
+    # both x1 values admit a winning strategy, and the solver tries false first
+    assert reference(q)[1] & 0b11 == 0b11
     assert r.outer_witness[0] is False
-
-
-def test_witness_substitution_resolves_true():
-    q = paper_example()
-    r = solve(q)
-    c = q.circuit
-    matrix = c.restrict(q.matrix, 0, r.outer_witness[0])
-    rest = make_prenex(c, q.blocks[1:], matrix, q.var_names)
-    assert solve(rest).value is True
+    check_result(q, r)  # which also re-solves with the witness substituted
 
 
 def test_constant_matrices():
@@ -135,19 +127,25 @@ def rand_prenex(rng, max_vars=12):
 def test_solver_agrees_with_naive_evaluator(rng):
     for _ in range(800):
         q = rand_prenex(rng)
-        got = solve(q).value
-        want = naive_qbf(q.blocks, lambda env: q.circuit.evaluate(q.matrix, env))
-        assert got == want
+        check_result(q, solve(q))
 
 
-def test_witness_covers_whole_outer_block(rng):
-    for _ in range(200):
-        q = rand_prenex(rng, max_vars=8)
-        r = solve(q)
-        quant, variables = q.blocks[0]
-        if r.outer_witness is not None:
-            assert set(r.outer_witness) == set(variables)
-            assert (quant == EXISTS) == r.value
+def test_reference_agrees_with_naive_evaluator(rng):
+    # the truth-table reference that the differentials use, against
+    # recursion over every assignment, on circuits with and without tables
+    for i in range(300):
+        q = rand_prenex(rng, max_vars=8) if i % 2 else rand_table_prenex(rng)
+        assert reference(q)[0] == naive_qbf(q)
+
+
+def test_truth_table_matches_evaluate(rng):
+    for _ in range(100):
+        q = rand_table_prenex(rng)
+        n = 1 + max(v for _, vs in q.blocks for v in vs)
+        table = truth_table(q.circuit, q.matrix, n)
+        for a in range(1 << n):
+            env = {v: bool(a >> v & 1) for v in range(n)}
+            assert bool(table >> a & 1) == q.circuit.evaluate(q.matrix, env)
 
 
 def test_solve_deterministic(rng):
@@ -276,27 +274,35 @@ def test_external_requires_placeholder():
     q = paper_example()
     with pytest.raises(QbfError):
         run_external("solver", q)
+    with pytest.raises(QbfError):
+        run_external('"solver {file}', q)  # cannot be split
 
 
-def test_witness_substitution_random(rng):
-    # substituting a reported outer witness and re-solving the remaining
-    # blocks reproduces the verdict it witnessed
-    from hyperbmc.qbf import make_prenex as mk
+def rand_gate(rng, c, depth, variables):
+    """A random gate of the given depth over `variables`, NOT over whole gates too."""
+    if depth == 0 or rng.random() < 0.2:
+        v = c.var(rng.choice(variables))
+        return c.not_(v) if rng.random() < 0.3 else v
+    node = (c.and_ if rng.random() < 0.5 else c.or_)(
+        [rand_gate(rng, c, depth - 1, variables) for _ in range(rng.randint(2, 3))]
+    )
+    return c.not_(node) if rng.random() < 0.4 else node
 
-    checked = 0
-    for _ in range(150):
-        q = rand_prenex(rng, max_vars=9)
-        r = solve(q)
-        if r.outer_witness is None:
-            continue
-        checked += 1
-        c = q.circuit
-        m = q.matrix
-        for v, val in r.outer_witness.items():
-            m = c.restrict(m, v, val)
-        rest = mk(c, q.blocks[1:], m, q.var_names)
-        assert solve(rest).value is r.value
-    assert checked >= 40
+
+def rand_chained_blocks(rng, last_size):
+    """2-3 alternating blocks of 1-3 variables, the last of `last_size` to 3;
+    and the number of variables."""
+    blocks = []
+    at = 0
+    count = rng.randint(2, 3)
+    for i in range(count):
+        size = rng.randint(last_size if i == count - 1 else 1, 3)
+        quant = rng.choice([EXISTS, FORALL]) if not blocks else (
+            FORALL if blocks[-1][0] == EXISTS else EXISTS
+        )
+        blocks.append((quant, tuple(range(at, at + size))))
+        at += size
+    return blocks, at
 
 
 def rand_guarded_prenex(rng):
@@ -308,24 +314,8 @@ def rand_guarded_prenex(rng):
     solver's quantifier has to flip under NOT on its way down.
     """
     c = Circuit()
-    blocks = []
-    at = 0
-    for _ in range(rng.randint(2, 3)):
-        size = rng.randint(1, 3)
-        quant = rng.choice([EXISTS, FORALL]) if not blocks else (
-            FORALL if blocks[-1][0] == EXISTS else EXISTS
-        )
-        blocks.append((quant, tuple(range(at, at + size))))
-        at += size
-
-    def build(depth, variables):
-        if depth == 0 or rng.random() < 0.2:
-            v = c.var(rng.choice(variables))
-            return c.not_(v) if rng.random() < 0.3 else v
-        node = (c.and_ if rng.random() < 0.5 else c.or_)(
-            [build(depth - 1, variables) for _ in range(rng.randint(2, 3))]
-        )
-        return c.not_(node) if rng.random() < 0.4 else node
+    blocks, at = rand_chained_blocks(rng, 1)
+    build = partial(rand_gate, rng, c)
 
     matrix = build(rng.randint(2, 4), list(range(at)))
     for quant, variables in reversed(blocks):
@@ -339,19 +329,8 @@ def test_guarded_blocks_agree_with_naive_evaluator(rng):
     for _ in range(600):
         q = rand_guarded_prenex(rng)
         r = solve(q)
-        want = naive_qbf(q.blocks, lambda env: q.circuit.evaluate(q.matrix, env))
-        assert r.value == want
-        quant, variables = q.blocks[0]
-        if r.outer_witness is None:
-            assert (quant == EXISTS) != r.value
-            continue
-        witnesses += 1
-        assert set(r.outer_witness) == set(variables)
-        m = q.matrix
-        for v, val in r.outer_witness.items():
-            m = q.circuit.restrict(m, v, val)
-        rest = make_prenex(q.circuit, q.blocks[1:], m, q.var_names)
-        assert solve(rest).value is r.value
+        check_result(q, r)
+        witnesses += r.outer_witness is not None
     assert witnesses >= 100
 
 
@@ -362,10 +341,7 @@ def _check_ae_on_complete_model(k):
     from hyperbmc.hyperltl import parse_formula
     from hyperbmc.kripke import parse_kripke
 
-    complete = parse_kripke(
-        "ap a; states s0 s1; init s0; label s0 {a}; label s1 {}; "
-        "trans s0 -> s0; trans s0 -> s1; trans s1 -> s0; trans s1 -> s1;"
-    )
+    complete = parse_kripke(COMPLETE_KR)
     limit = sys.getrecursionlimit()
     v = check(CheckConfig(
         formula=parse_formula("forall A. exists B. G (a[A] <-> a[B])"),
@@ -402,26 +378,21 @@ def test_or_of_cubes_shape_compares_variable_placement():
     root = c.and_([xnor(0, 2), c.or_([xnor(4, 5), x[6]]), xnor(1, 3)])
     mgr = bdd.BDD()
     f = _compile(c, mgr, root)
-    for bits in itertools.product((False, True), repeat=7):
-        env = dict(enumerate(bits))
-        g = f
-        while g > bdd.TRUE:
-            g = mgr.hi[g] if env[mgr.level[g]] else mgr.lo[g]
-        assert (g == bdd.TRUE) == c.evaluate(root, env)
+    assert bdd_table(mgr, f, 7) == truth_table(c, root, 7)
 
 
-def _count_products(monkeypatch):
-    """Patch BDD.quantify to count its calls; returns the one-element count list."""
+def _count_calls(monkeypatch, name):
+    """Patch the BDD method `name` to count its calls; returns the one-element count list."""
     from hyperbmc import bdd
 
     calls = [0]
-    quantify = bdd.BDD.quantify
+    method = getattr(bdd.BDD, name)
 
     def counted(self, *args):
         calls[0] += 1
-        return quantify(self, *args)
+        return method(self, *args)
 
-    monkeypatch.setattr(bdd.BDD, "quantify", counted)
+    monkeypatch.setattr(bdd.BDD, name, counted)
     return calls
 
 
@@ -436,27 +407,11 @@ def rand_split_prenex(rng):
     its product over the body. About one guard in four is unsatisfiable.
     """
     c = Circuit()
-    blocks = []
-    at = 0
-    count = rng.randint(2, 3)
-    for i in range(count):
-        size = rng.randint(2, 3) if i == count - 1 else rng.randint(1, 3)
-        quant = rng.choice([EXISTS, FORALL]) if not blocks else (
-            FORALL if blocks[-1][0] == EXISTS else EXISTS
-        )
-        blocks.append((quant, tuple(range(at, at + size))))
-        at += size
+    blocks, at = rand_chained_blocks(rng, 2)
     inner_quant, inner = blocks[-1][0], list(blocks[-1][1])
     outer = [v for _, vs in blocks[:-1] for v in vs]
 
-    def build(depth, variables):
-        if depth == 0 or rng.random() < 0.2:
-            v = c.var(rng.choice(variables))
-            return c.not_(v) if rng.random() < 0.3 else v
-        node = (c.and_ if rng.random() < 0.5 else c.or_)(
-            [build(depth - 1, variables) for _ in range(rng.randint(2, 3))]
-        )
-        return c.not_(node) if rng.random() < 0.4 else node
+    build = partial(rand_gate, rng, c)
 
     def literal(variables):
         v = c.var(rng.choice(variables))
@@ -492,7 +447,7 @@ def rand_split_prenex(rng):
 
 
 def test_split_bodies_agree_with_naive_evaluator(rng, monkeypatch):
-    calls = _count_products(monkeypatch)
+    calls = _count_calls(monkeypatch, "quantify")
     witnesses = split = 0
     for _ in range(600):
         q = rand_split_prenex(rng)
@@ -500,19 +455,8 @@ def test_split_bodies_agree_with_naive_evaluator(rng, monkeypatch):
         r = solve(q)
         # the middle block, if any, takes one product of its own
         split += calls[0] > len(q.blocks) - 1
-        want = naive_qbf(q.blocks, lambda env: q.circuit.evaluate(q.matrix, env))
-        assert r.value == want
-        quant, variables = q.blocks[0]
-        if r.outer_witness is None:
-            assert (quant == EXISTS) != r.value
-            continue
-        witnesses += 1
-        assert set(r.outer_witness) == set(variables)
-        m = q.matrix
-        for v, val in r.outer_witness.items():
-            m = q.circuit.restrict(m, v, val)
-        rest = make_prenex(q.circuit, q.blocks[1:], m, q.var_names)
-        assert solve(rest).value is r.value
+        check_result(q, r)
+        witnesses += r.outer_witness is not None
     assert witnesses >= 100
     assert split >= 100
 
@@ -552,7 +496,7 @@ def test_split_fires_once_per_mixed_disjunct(monkeypatch):
     disjuncts = [d for d in operands(body) if mixes(d)]
     assert len(disjuncts) >= 2 and len(disjuncts) == len(operands(body))
 
-    calls = _count_products(monkeypatch)
+    calls = _count_calls(monkeypatch, "quantify")
     # handles from separate calls are compared: no collection may renumber them
     monkeypatch.setattr(bdd.BDD, "maybe_collect", lambda self, pinned: None)
     mgr = bdd.BDD()
@@ -573,16 +517,13 @@ def test_single_mixed_disjunct_takes_one_product(monkeypatch):
     from hyperbmc.kripke import parse_kripke
     from hyperbmc.models import builtin_spec, gen_grid
 
-    complete = parse_kripke(
-        "ap a; states s0 s1; init s0; label s0 {a}; label s1 {}; "
-        "trans s0 -> s0; trans s0 -> s1; trans s1 -> s0; trans s1 -> s1;"
-    )
+    complete = parse_kripke(COMPLETE_KR)
     grid = gen_grid(4, 4, {(0, 1), (1, 1), (2, 1)}, [(0, 0)], {(0, 3)})
     cases = [
         ("forall A. exists B. G (a[A] <-> a[B])", complete, 6, oracle.OPT),
         (builtin_spec("shortest_path").formula, grid, 6, oracle.CLASSIC),
     ]
-    calls = _count_products(monkeypatch)
+    calls = _count_calls(monkeypatch, "quantify")
     for text, structure, k, sem in cases:
         formula = normalize(parse_formula(text))
         q = assemble_qbf(formula, {"A": structure, "B": structure}, k, sem)
@@ -590,6 +531,17 @@ def test_single_mixed_disjunct_takes_one_product(monkeypatch):
         calls[0] = 0
         solve(q)
         assert calls[0] == 1
+
+
+def rand_cut_blocks(rng, n):
+    """The variables 0..n-1 cut into 2-3 alternating blocks."""
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, 2)))
+    quant = rng.choice([EXISTS, FORALL])
+    blocks = []
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        blocks.append((quant, tuple(range(lo, hi))))
+        quant = FORALL if quant == EXISTS else EXISTS
+    return blocks
 
 
 def rand_table_prenex(rng):
@@ -601,12 +553,7 @@ def rand_table_prenex(rng):
     """
     c = Circuit()
     n = rng.randint(3, 8)
-    cuts = sorted(rng.sample(range(1, n), rng.randint(1, 2)))
-    quant = rng.choice([EXISTS, FORALL])
-    blocks = []
-    for lo, hi in zip([0, *cuts], [*cuts, n]):
-        blocks.append((quant, tuple(range(lo, hi))))
-        quant = FORALL if quant == EXISTS else EXISTS
+    blocks = rand_cut_blocks(rng, n)
     tables = [
         c.table(
             tuple(2 * o + rng.randint(0, 1) for o in sorted(rng.sample(range(3), rng.randint(1, 3))))
@@ -631,9 +578,9 @@ def rand_table_prenex(rng):
 def test_table_gates_agree_with_naive_evaluator(rng):
     for _ in range(300):
         q = rand_table_prenex(rng)
-        want = naive_qbf(q.blocks, lambda env: q.circuit.evaluate(q.matrix, env))
-        assert solve(q).value == want
-        assert solve(parse_qcir(emit_qcir(q))).value == want
+        r = solve(q)
+        check_result(q, r)
+        assert solve(parse_qcir(emit_qcir(q))).value == r.value
 
 
 def test_table_bdds_survive_collection_after_every_gate(rng, monkeypatch):
@@ -656,15 +603,10 @@ def test_table_bdds_survive_collection_after_every_gate(rng, monkeypatch):
     mgr = bdd.BDD()
     f = _compile(c, mgr, root)
     assert collections[0] > 9
-    for bits in itertools.product((False, True), repeat=10):
-        env = dict(enumerate(bits))
-        g = f
-        while g > bdd.TRUE:
-            g = mgr.hi[g] if env[mgr.level[g]] else mgr.lo[g]
-        assert (g == bdd.TRUE) == c.evaluate(root, env)
+    assert bdd_table(mgr, f, 10) == truth_table(c, root, 10)
     for _ in range(40):
         q = rand_table_prenex(rng)
-        assert solve(q).value == naive_qbf(q.blocks, lambda env: q.circuit.evaluate(q.matrix, env))
+        check_result(q, solve(q))
 
 
 def _support(mgr, f):
@@ -726,12 +668,7 @@ def rand_shifted_prenex(rng):
     """
     c = Circuit()
     n = rng.randint(5, 9)
-    cuts = sorted(rng.sample(range(1, n), rng.randint(1, 2)))
-    quant = rng.choice([EXISTS, FORALL])
-    blocks = []
-    for lo, hi in zip([0, *cuts], [*cuts, n]):
-        blocks.append((quant, tuple(range(lo, hi))))
-        quant = FORALL if quant == EXISTS else EXISTS
+    blocks = rand_cut_blocks(rng, n)
 
     def template(depth, width):
         if depth == 0 or rng.random() < 0.2:
@@ -763,32 +700,23 @@ def test_shifted_copies_agree_with_naive_evaluator(rng, monkeypatch):
     from hyperbmc import bdd
     from hyperbmc.qbf import _compile
 
-    relocations = [0]
-    relocate = bdd.BDD.relocate
-
-    def counted(self, f, shift):
-        relocations[0] += 1
-        return relocate(self, f, shift)
-
-    monkeypatch.setattr(bdd.BDD, "relocate", counted)
+    calls = _count_calls(monkeypatch, "relocate")
+    relocations = 0
     for i in range(300):
         q = rand_shifted_prenex(rng)
         c = q.circuit
-        want = naive_qbf(q.blocks, lambda env: c.evaluate(q.matrix, env))
-        assert solve(q).value == want
+        calls[0] = 0
+        r = solve(q)
+        relocations += calls[0]
+        check_result(q, r)
         if i % 10:
             continue
         mgr = bdd.BDD()
         f = _compile(c, mgr, q.matrix)
         n = max(v for _, vs in q.blocks for v in vs) + 1
-        for bits in itertools.product((False, True), repeat=n):
-            env = dict(enumerate(bits))
-            g = f
-            while g > bdd.TRUE:
-                g = mgr.hi[g] if env[mgr.level[g]] else mgr.lo[g]
-            assert (g == bdd.TRUE) == c.evaluate(q.matrix, env)
+        assert bdd_table(mgr, f, n) == truth_table(c, q.matrix, n)
     # the circuits have no table gates: every relocation is a shifted copy
-    assert relocations[0] >= 300
+    assert relocations >= 300
 
 
 _HASH_PROBE = """
