@@ -156,52 +156,25 @@ class BDD:
     def join(self, op, nodes):
         """op over a list of nodes; the unit of op if it is empty.
 
-        Literals (single-node BDDs) are chained into one cube or clause
-        bottom-up, without apply: a conjunction of n literals taken one
-        by one in arbitrary order would rebuild its path up to n times.
-        The other operands follow deepest first (by top level, bottom
-        up), so each apply walks the new operand down to a result that
-        mostly lies below it, not the whole result again.
+        The operands are folded deepest first (by top level, bottom up), so
+        each apply walks the new operand down to a result that mostly lies
+        below it, not the whole result again. An operand wholly above the
+        result, like a literal, adds one node per node of its own.
         """
-        zero, unit = (FALSE, TRUE) if op == AND else (TRUE, FALSE)
-        level, lo, hi = self.level, self.lo, self.hi
-        lits = []
-        rest = []
-        for f in nodes:
-            if f <= TRUE:
-                if f == zero:
-                    return zero
-            elif lo[f] <= TRUE and hi[f] <= TRUE:
-                lits.append(f)
-            else:
-                rest.append(f)
-        node = unit
-        prev = None
-        for f in sorted(set(lits), key=level.__getitem__, reverse=True):
-            v = level[f]
-            if v == prev:  # a literal and its complement
-                return zero
-            prev = v
-            node = self._mk(v, node if lo[f] == unit else zero, node if hi[f] == unit else zero)
-        rest.sort(key=level.__getitem__, reverse=True)
-        for f in rest:
+        node = TRUE if op == AND else FALSE
+        for f in sorted(nodes, key=self.level.__getitem__, reverse=True):
             node = self.apply(op, node, f)
         return node
 
-    def or_of_cubes(self, cubes):
-        """OR of cubes, each a sequence of literal codes 2 * variable + value, sorted.
+    def relation(self, variables, rows):
+        """OR of the rows, each a tuple of 0/1 values of the ascending `variables`.
 
-        When every cube fixes the same variables, the cubes form a trie
-        over those variables, and each node is made once, level by level
-        from the bottom. Otherwise they are joined one by one.
+        The rows form a trie over the variables, and each node is made
+        once, level by level from the bottom.
         """
-        variables = [x >> 1 for x in cubes[0]] if cubes else []
-        if any([x >> 1 for x in c] != variables for c in cubes):
-            cubes = [[self.literal(x >> 1, x & 1) for x in c] for c in cubes]
-            return self.join(OR, [self.join(AND, c) for c in cubes])
         if variables:
             self._reserve(variables[-1])
-        layer = dict.fromkeys((tuple(x & 1 for x in c) for c in cubes), TRUE)
+        layer = dict.fromkeys(rows, TRUE)
         for v in reversed(variables):
             children = {}
             for bits, node in layer.items():
@@ -234,10 +207,6 @@ class BDD:
                 todo.append(h)
                 todo.append(l)
         return new[f]
-
-    def literal(self, v, value):
-        x = self.var(v)
-        return x if value else self._mk(v, TRUE, FALSE)
 
     def not_(self, f):
         cache = self._not

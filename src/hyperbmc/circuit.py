@@ -14,12 +14,13 @@ Every node carries the bitmask of variables in its support, which lets
 cofactoring skip entire subDAGs that do not mention the variable.
 
 Node kinds: constants, variables, NOT, AND and OR gates, and table gates.
-A table is an OR of cubes registered once per circuit at base 0 (see
-table); a table gate is that table over the variables `base` higher. A
-function that repeats over a shifted window of variables, like a
-model's transition relation at every step of an unrolling, is then one
-table and one small node per window. evaluate reads a table gate
-directly; cofactors (and so restrict) expand it into AND/OR gates.
+A table is a relation over fixed offsets, registered once per circuit
+(see table): the rows of 0/1 values its offsets may take. A table gate
+is that table over the variables `base` above its offsets. A function
+that repeats over a shifted window of variables, like a model's
+transition relation at every step of an unrolling, is then one table
+and one small node per window. evaluate looks a table gate's values up
+among its rows; cofactors (and so restrict) expand it into AND/OR gates.
 """
 
 FALSE = 0
@@ -41,8 +42,7 @@ class Circuit:
         self.payloads = [False, True]
         self.masks = [0, 0]  # variable support as a bitmask
         self._intern = {}
-        self.tables = []  # table id -> sorted tuple of cubes at base 0
-        self._table_masks = []
+        self.tables = []  # table id -> (ascending offsets, sorted tuple of rows)
         self._table_ids = {}
 
     def __len__(self):
@@ -94,39 +94,39 @@ class Circuit:
     def or_(self, items):
         return self._gate(K_OR, items, FALSE, TRUE)
 
-    def table(self, cubes):
-        """Id of the OR of `cubes` at base 0, registered once per distinct set of cubes.
+    def table(self, offsets, rows):
+        """Id of the relation `rows` over the ascending `offsets`, registered once.
 
-        A cube is a tuple of literal codes 2 * offset + value, each saying
-        that the variable `offset` above the gate's base has that value; a
-        cube fixes each offset at most once.
+        A row is a tuple of 0/1 values, one per offset, saying that the
+        variable `offset` above the gate's base has that value; the table
+        holds where the variables take one of its rows.
         """
-        cubes = tuple(sorted({tuple(sorted(c)) for c in cubes}))
-        tid = self._table_ids.get(cubes)
+        key = (tuple(offsets), tuple(sorted(set(rows))))
+        tid = self._table_ids.get(key)
         if tid is None:
-            tid = self._table_ids[cubes] = len(self.tables)
-            self.tables.append(cubes)
-            self._table_masks.append(sum({1 << (code >> 1) for c in cubes for code in c}))
+            tid = self._table_ids[key] = len(self.tables)
+            self.tables.append(key)
         return tid
 
     def table_gate(self, tid, base):
-        """Table tid over the variables from `base` up; folds an empty table or empty cube."""
-        cubes = self.tables[tid]
-        if not cubes:
+        """Table tid over the variables from `base` up; folds a table with no rows or no offsets."""
+        offsets, rows = self.tables[tid]
+        if not rows:
             return FALSE
-        if not cubes[0]:  # sorted, so the empty cube comes first
+        if not offsets:
             return TRUE
-        return self._mk(K_TABLE, (tid, base), self._table_masks[tid] << base)
+        return self._mk(K_TABLE, (tid, base), sum(1 << (base + o) for o in offsets))
 
     def expand(self, n):
-        """Table gate n as an OR of ANDs of literals."""
+        """Table gate n as an OR of ANDs of literals, one AND per row."""
         tid, base = self.payloads[n]
-        cubes = self.tables[tid]
+        offsets, rows = self.tables[tid]
         lits = {}
-        for code in sorted({code for c in cubes for code in c}):
-            v = self.var(base + (code >> 1))
-            lits[code] = v if code & 1 else self.not_(v)
-        return self.or_([self.and_([lits[code] for code in c]) for c in cubes])
+        for j, column in enumerate(zip(*rows)):
+            v = self.var(base + offsets[j])
+            for b in sorted(set(column)):
+                lits[j, b] = v if b else self.not_(v)
+        return self.or_([self.and_([lits[j, b] for j, b in enumerate(r)]) for r in rows])
 
     def implies(self, a, b):
         return self.or_([self.not_(a), b])
@@ -203,10 +203,8 @@ class Circuit:
             if k == K_VAR:
                 memo[n] = assignment[p]
             elif k == K_TABLE:
-                memo[n] = any(
-                    all(assignment[p[1] + (code >> 1)] == code & 1 for code in c)
-                    for c in self.tables[p[0]]
-                )
+                offsets, rows = self.tables[p[0]]
+                memo[n] = tuple(assignment[p[1] + o] for o in offsets) in rows
             elif not ready:
                 stack.append((n, True))
                 for c in self.children(n):

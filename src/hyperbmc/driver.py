@@ -11,7 +11,6 @@ counterexample and vice versa.
 
 import math
 import os
-import shlex
 from dataclasses import dataclass
 
 from . import hyperltl as hl
@@ -111,11 +110,9 @@ def _validate_config(cfg: CheckConfig):
         raise ConfigError(f"unknown semantics {cfg.semantics!r}")
     if cfg.solver != "builtin":
         try:
-            shlex.split(cfg.solver)
-        except ValueError as e:
-            raise ConfigError(f"cannot split external solver command {cfg.solver!r}: {e}") from None
-        if "{file}" not in cfg.solver:
-            raise ConfigError("external solver command must contain a {file} placeholder")
+            qbf.external_argv(cfg.solver)
+        except qbf.QbfError as e:
+            raise ConfigError(str(e)) from None
         if cfg.solver_timeout is not None and not 0 <= cfg.solver_timeout < math.inf:
             raise ConfigError(f"solver timeout {cfg.solver_timeout} is not a finite nonnegative number")
     for _, var in cfg.formula.prefix:

@@ -3,15 +3,15 @@
 Each trace variable gets one quantifier block holding, per step, its
 ceil(log2 |S|) state bits, which spell a state index. Propositions and the
 reserved @halt proposition are not variables: at each (trace, step) each
-one is a table gate (see circuit.py) over that step's state bits, the OR
-of the minterms of the states that carry it. Each model's label sets,
-initial state and transition relation are registered once per encoding
-as tables over the bits of one step (two, for the transitions); every
-(trace, step) reads them through a gate at its own base, so the
-per-step copies the unrolling repeats are never built as circuits.
+one is a table gate (see circuit.py) over that step's state bits, whose
+rows spell the states that carry it. Each model's label sets, initial
+state and transition relation are registered once per encoding as
+tables over the bits of one step (two, for the transitions, whose rows
+spell a source and a target); every (trace, step) reads them through a
+gate at its own base, so the per-step copies the unrolling repeats are
+never built as circuits.
 """
 
-import math
 from dataclasses import dataclass, field
 
 from . import circuit as ct
@@ -65,7 +65,7 @@ class VarLayout:
 
 
 def state_bit_count(n_states: int) -> int:
-    return max(0, math.ceil(math.log2(n_states))) if n_states > 1 else 0
+    return (n_states - 1).bit_length() if n_states > 1 else 0
 
 
 def build_layout(models, formula, k) -> VarLayout:
@@ -87,15 +87,15 @@ def build_layout(models, formula, k) -> VarLayout:
     return layout
 
 
-def _minterm(nbits, idx, offset=0):
-    """Literal codes (see Circuit.table) of the nbits state bits spelling idx, from offset up."""
-    return tuple(2 * (offset + j) + (idx >> j & 1) for j in range(nbits))
+def _bits(nbits, idx):
+    """The values of the nbits state bits spelling idx, least significant first."""
+    return tuple(idx >> j & 1 for j in range(nbits))
 
 
 def label_table(circ: Circuit, layout, var, ap) -> int:
     """Table of the states of var's model that carry ap (or @halt), over one step's bits.
 
-    The OR of their minterms. On codes that name no state it is false,
+    One row per such state. On codes that name no state it is false,
     but those codes never matter: see unroll_structure.
     """
     structure = layout.models.get(var)
@@ -108,7 +108,7 @@ def label_table(circ: Circuit, layout, var, ap) -> int:
     else:
         raise EncodeError(f"proposition {ap!r} not declared for trace variable {var!r}")
     nbits = state_bit_count(len(structure.states))
-    return circ.table(_minterm(nbits, i) for i, c in enumerate(carries) if c)
+    return circ.table(range(nbits), [_bits(nbits, i) for i, c in enumerate(carries) if c])
 
 
 def label_gate(circ: Circuit, layout, var, step, ap) -> int:
@@ -129,15 +129,15 @@ def unroll_structure(structure, var, k, layout, circ: Circuit) -> int:
     the guard is false, which is why the label gates may read false on
     codes that name no state.
 
-    The transition table's cubes span one step at offset 0 and the next
-    at offset layout.stride, so one gate per step reads it.
+    The transition table's offsets span one step from 0 and the next from
+    layout.stride, so one gate per step reads it.
     """
     index = {s: i for i, s in enumerate(structure.states)}
     nbits = state_bit_count(len(structure.states))
-    init = circ.table([_minterm(nbits, index[structure.init])])
+    init = circ.table(range(nbits), [_bits(nbits, index[structure.init])])
     step = circ.table(
-        _minterm(nbits, index[s]) + _minterm(nbits, index[d], layout.stride)
-        for s, d in structure.trans
+        [*range(nbits), *range(layout.stride, layout.stride + nbits)],
+        [_bits(nbits, index[s]) + _bits(nbits, index[d]) for s, d in structure.trans],
     )
     parts = [circ.table_gate(init, layout.base(var, 0))]
     parts += [circ.table_gate(step, layout.base(var, i)) for i in range(k)]

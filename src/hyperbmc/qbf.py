@@ -129,14 +129,15 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     (child shape, child offset - own offset) pairs. Nodes of one shape are
     the same function shifted by the difference of their offsets. So only
     the first gate of each shape that is built without a quantifier is
-    built from its children (a table gate by or_of_cubes at its base);
-    every later one relocates that BDD (BDD.relocate), the current/next
-    renaming of symbolic model checking applied to any gate. Two traces
-    of one model unroll it into one shape, and each step of the body
-    repeats the shapes of the last. A copy lists the first gate as its
-    only child, so that BDD lives until its last copy is made, and no
-    shape equals a descendant's, so the first is built before its
-    copies. A table gate under a quantifier quantifies its plain BDD.
+    built from its children (a table gate by BDD.relation over its
+    offsets shifted by its base); every later one relocates that BDD
+    (BDD.relocate), the current/next renaming of symbolic model checking
+    applied to any gate. Two traces of one model unroll it into one
+    shape, and each step of the body repeats the shapes of the last.
+    A copy lists the first gate as its only child, so that BDD lives
+    until its last copy is made, and no shape equals a descendant's, so
+    the first is built before its copies. A table gate under a
+    quantifier quantifies its plain BDD.
 
     Shapes take one pass over the arena in id order (children first).
     The circuit is then walked twice without recursion: once to list each
@@ -257,7 +258,8 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
                 eliminate = mgr.exists if mode == _EXISTS else mgr.forall
                 return eliminate(memo[ks[0]], variables)
             tid, base = payloads[n]
-            return mgr.or_of_cubes([[x + 2 * base for x in c] for c in circ.tables[tid]])
+            offsets, rows = circ.tables[tid]
+            return mgr.relation([base + o for o in offsets], rows)
         op = bdd.AND if k == ct.K_AND else bdd.OR
         if mode == _PLAIN or mode == (_FORALL if k == ct.K_AND else _EXISTS):
             return mgr.join(op, [memo[c] for c in ks])
@@ -493,23 +495,35 @@ def parse_qcir(text: str) -> PrenexQBF:
     return make_prenex(circ, blocks, matrix, var_names)
 
 
+def external_argv(command_template: str) -> list:
+    """The words of an external solver command, split as a shell would.
+
+    {file} stands for the QCIR file's path. It must appear in a word after
+    the first, which names the program, so the file is never run itself.
+    """
+    try:
+        argv = shlex.split(command_template)
+    except ValueError as e:
+        raise QbfError(f"cannot split external solver command {command_template!r}: {e}") from None
+    if not any("{file}" in word for word in argv):
+        raise QbfError("external solver command must contain a {file} placeholder")
+    if "{file}" in argv[0]:
+        raise QbfError(f"external solver command {command_template!r} must name a program before {{file}}")
+    return argv
+
+
 def run_external(command_template: str, q: PrenexQBF, timeout: float | None = None) -> SolveResult:
     """Write QCIR to a temp file, run the command, map its verdict.
 
-    Exit status 10 means true and 20 false (the usual solver convention);
-    otherwise the first output line must read `r SAT` or `r UNSAT`.
-    External solvers yield no witness.
+    The command is checked by external_argv. Exit status 10 means true and
+    20 false (the usual solver convention); otherwise the first output line
+    must read `r SAT` or `r UNSAT`. External solvers yield no witness.
     """
-    if "{file}" not in command_template:
-        raise QbfError("external solver command must contain a {file} placeholder")
-    try:
-        parts = shlex.split(command_template)
-    except ValueError as e:
-        raise QbfError(f"cannot split external solver command {command_template!r}: {e}") from None
+    argv = external_argv(command_template)
     with tempfile.NamedTemporaryFile(mode="w", suffix=".qcir", delete=False) as fh:
         fh.write(emit_qcir(q))
         path = fh.name
-    argv = [part.replace("{file}", path) for part in parts]
+    argv = [word.replace("{file}", path) for word in argv]
     try:
         proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
     except FileNotFoundError as e:

@@ -184,12 +184,13 @@ def truth_table(circuit, root, n):
             table[m] = reduce(and_, map(table.get, p), ones)
         elif k == ct.K_OR:
             table[m] = reduce(or_, map(table.get, p), 0)
-        else:  # a table gate: an OR of cubes of literals above its base
+        else:  # a table gate: the OR of its rows over its offsets above its base
             tid, base = p
+            offsets, rows = circuit.tables[tid]
+            columns = [variable_table(base + o, n) for o in offsets]
             table[m] = 0
-            for cube in circuit.tables[tid]:
-                literals = (variable_table(base + (c >> 1), n) ^ (0 if c & 1 else ones) for c in cube)
-                table[m] |= reduce(and_, literals, ones)
+            for row in rows:
+                table[m] |= reduce(and_, (x if b else x ^ ones for x, b in zip(columns, row)), ones)
     return table[root]
 
 

@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import and_, or_
 
 import pytest
 
@@ -124,7 +126,8 @@ def test_join_is_independent_of_operand_order():
     for _ in range(60):
         n = rng.randint(2, 7)
         operands = [build(mgr, rand_expr(rng, n, 3)) for _ in range(rng.randint(1, 5))]
-        operands += [mgr.literal(rng.randrange(n), rng.random() < 0.5) for _ in range(rng.randint(0, 3))]
+        literals = [mgr.var(rng.randrange(n)) for _ in range(rng.randint(0, 3))]
+        operands += [mgr.not_(x) if rng.random() < 0.5 else x for x in literals]
         for op in (AND, OR):
             folded = TRUE if op == AND else FALSE
             for f in operands:
@@ -132,6 +135,28 @@ def test_join_is_independent_of_operand_order():
             for _ in range(4):
                 rng.shuffle(operands)
                 assert mgr.join(op, operands) == folded
+
+
+def test_join_of_literals_adds_one_node_per_literal():
+    # taken deepest first, each literal lies wholly above the result so
+    # far, so the fold makes one node for it, whatever the given order
+    rng = random.Random(13)
+    mgr = BDD()
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        width = n + 2
+        ones = (1 << (1 << width)) - 1
+        literals, tables = [], []
+        for v in rng.sample(range(width), n):
+            negated = rng.random() < 0.5
+            literals.append(mgr.not_(mgr.var(v)) if negated else mgr.var(v))
+            tables.append(variable_table(v, width) ^ (ones if negated else 0))
+        rng.shuffle(literals)
+        for op, fold_op, unit in ((AND, and_, ones), (OR, or_, 0)):
+            before = len(mgr)
+            f = mgr.join(op, literals)
+            assert len(mgr) - before <= n
+            assert bdd_table(mgr, f, width) == reduce(fold_op, tables, unit)
 
 
 def test_relocate_matches_direct_build_across_collect():

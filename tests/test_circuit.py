@@ -68,18 +68,20 @@ def test_support_masks():
 
 def test_table_gates_fold_and_intern():
     c = Circuit()
-    assert c.table_gate(c.table([]), 5) == FALSE
-    assert c.table_gate(c.table([(), (1,)]), 5) == TRUE
-    # cubes are a set: order and repeats do not make a new table
-    t = c.table([(1, 2), (0, 3)])
-    assert c.table([(3, 0), (2, 1), (1, 2)]) == t
+    assert c.table_gate(c.table((0, 1), []), 5) == FALSE
+    assert c.table_gate(c.table((), []), 5) == FALSE
+    assert c.table_gate(c.table((), [()]), 5) == TRUE
+    # rows are a set: order and repeats do not make a new table
+    t = c.table((0, 1), [(1, 0), (0, 1)])
+    assert c.table((0, 1), [(0, 1), (1, 0), (0, 1)]) == t
+    assert c.table((0, 2), [(1, 0), (0, 1)]) != t
     g = c.table_gate(t, 4)
     assert c.table_gate(t, 4) == g
     assert c.support(g) == {4, 5}
     assert c.table_gate(t, 6) != g
     # a table that is valid as a function is still a gate; it expands,
     # restricts and evaluates to true
-    valid = c.table_gate(c.table([(0,), (1,)]), 3)
+    valid = c.table_gate(c.table((0,), [(0,), (1,)]), 3)
     assert valid not in (TRUE, FALSE)
     assert c.expand(valid) == TRUE
     assert c.restrict(valid, 3, False) == c.restrict(valid, 3, True) == TRUE
@@ -89,7 +91,7 @@ def test_table_gates_fold_and_intern():
 def test_table_gate_evaluate_expand_and_restrict_agree():
     c = Circuit()
     # offset 0 true and offset 2 false, or offset 1 false
-    t = c.table([(1, 4), (2,)])
+    t = c.table((0, 1, 2), [r for r in itertools.product((0, 1), repeat=3) if r[0] and not r[2] or not r[1]])
     f = c.or_([c.and_([c.table_gate(t, 1), c.var(0)]), c.not_(c.table_gate(t, 2))])
     e = c.expand(c.table_gate(t, 1))
     assert e != c.table_gate(t, 1)

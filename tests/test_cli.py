@@ -241,11 +241,13 @@ def test_stray_lookup_error_is_internal(capsys, model_file, monkeypatch):
         (["--solver", "external:quabs"], ""),  # no {file}
         (["--solver", "external:quabs {file}", "--timeout", "-1"], ""),
         (["--solver", "external:quabs {file}", "--timeout", "nan"], ""),
+        (["--solver", "external:{file} -v"], ""),  # would run the QCIR file
     ],
 )
 def test_bad_solver_options_are_data_errors(capsys, model_file, monkeypatch, options, solver_env):
     # each once failed only after the first bound was encoded: an unsplittable
-    # command or a NaN timeout with exit 70, a negative timeout as a timeout
+    # command or a NaN timeout with exit 70, a negative timeout as a timeout,
+    # and {file} as the program by running the QCIR file (exit 64)
     from hyperbmc import driver
 
     encoded = []

@@ -14,6 +14,7 @@ from hyperbmc.encoder import (
     encode_body,
     label_gate,
     label_table,
+    state_bit_count,
     unroll_structure,
 )
 from hyperbmc.hyperltl import Atom, Next, Release, Until, normalize, parse_formula
@@ -48,6 +49,15 @@ def model_count(circ, node, variables):
         if circ.evaluate(node, dict(zip(variables, bits))):
             count += 1
     return count
+
+
+def test_state_bit_count_is_exact():
+    # a float log2 rounds 2**k + 1 down to 2**k from k = 49 on and so
+    # counted one bit too few
+    assert [state_bit_count(n) for n in range(1, 6)] == [0, 1, 2, 2, 3]
+    for k in range(1, 63):
+        assert state_bit_count(2**k) == k
+        assert state_bit_count(2**k + 1) == k + 1
 
 
 def test_unroll_one_state_fixes_labels():

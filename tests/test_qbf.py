@@ -276,6 +276,8 @@ def test_external_requires_placeholder():
         run_external("solver", q)
     with pytest.raises(QbfError):
         run_external('"solver {file}', q)  # cannot be split
+    with pytest.raises(QbfError):
+        run_external("{file} -v", q)  # would run the QCIR file itself
 
 
 def rand_gate(rng, c, depth, variables):
@@ -547,20 +549,18 @@ def rand_cut_blocks(rng, n):
 def rand_table_prenex(rng):
     """2-3 alternating blocks over a matrix whose leaves are mostly table gates.
 
-    Each table is an OR of 1-4 cubes over offsets 0-2, and its gates sit
+    Each table is 1-4 rows over 1-3 of the offsets 0-2, and its gates sit
     at random bases, so one table is read over several windows of
     variables and across blocks.
     """
     c = Circuit()
     n = rng.randint(3, 8)
     blocks = rand_cut_blocks(rng, n)
-    tables = [
-        c.table(
-            tuple(2 * o + rng.randint(0, 1) for o in sorted(rng.sample(range(3), rng.randint(1, 3))))
-            for _ in range(rng.randint(1, 4))
-        )
-        for _ in range(rng.randint(1, 3))
-    ]
+    tables = []
+    for _ in range(rng.randint(1, 3)):
+        offsets = sorted(rng.sample(range(3), rng.randint(1, 3)))
+        rows = [tuple(rng.randint(0, 1) for _ in offsets) for _ in range(rng.randint(1, 4))]
+        tables.append(c.table(offsets, rows))
 
     def build(depth):
         if depth == 0 or rng.random() < 0.3:
@@ -597,7 +597,7 @@ def test_table_bdds_survive_collection_after_every_gate(rng, monkeypatch):
 
     monkeypatch.setattr(bdd.BDD, "maybe_collect", always_collect)
     c = Circuit()
-    xnor = c.table([(0, 2), (1, 3)])  # offsets 0 and 1 agree
+    xnor = c.table((0, 1), [(0, 0), (1, 1)])  # offsets 0 and 1 agree
     gates = [c.table_gate(xnor, i) for i in range(9)]
     root = c.or_([c.and_(gates[:5]), c.and_([gates[5], gates[8], c.not_(gates[6])])])
     mgr = bdd.BDD()
