@@ -9,14 +9,17 @@ functions are: a BDD is FALSE or TRUE exactly when its handle is.
 
 Every operation is a loop over an explicit stack, so neither the number
 of variables nor the depth of a BDD meets the Python recursion limit.
-relocate() copies a BDD onto variables a constant distance away. The
-shift keeps the order of the levels, so the copy is reduced and ordered
-without any apply: a caller builds a function that repeats at every step
-once and relocates it to the other steps.
+One copy loop relocates and negates: it remakes a BDD node for node,
+moving every level by a constant shift and each terminal to a given one,
+and the copy is reduced and ordered without any apply. relocate() moves
+a BDD onto variables a constant distance away, so a caller builds a
+function that repeats at every step once and relocates it to the other
+steps; not_() swaps the terminals.
 Dead nodes stay in the arena until collect(), a mark-compact pass from
 the roots a caller pins; it renumbers the survivors, so a caller runs it
-between operations, never inside one. node_cap bounds the arena and
-raises NodeCapError when an operation would grow it past the cap.
+between operations, never inside one: run() is that point. node_cap
+bounds the arena and raises NodeCapError when an operation would grow it
+past the cap.
 """
 
 from array import array
@@ -63,7 +66,6 @@ class BDD:
         self._shift = max(32, (node_cap or 0).bit_length())
         self._unique = []  # per level: (lo << shift | hi) -> node
         self._cache = ({}, {})  # per binary op: (f << shift | g) -> node
-        self._not = {}
         self._gc_at = GC_MIN_NODES
 
     def __len__(self):
@@ -183,56 +185,40 @@ class BDD:
         return layer.get((), FALSE)
 
     def relocate(self, f, shift):
-        """f with every level moved by `shift`: the same function of the shifted variables.
-
-        A constant shift keeps the order of the levels, so the copy is
-        reduced and ordered as it stands; each node is made once, bottom up.
-        """
-        if f <= TRUE or shift == 0:
-            return f
-        level, lo, hi, mk = self.level, self.lo, self.hi, self._mk
-        new = {FALSE: FALSE, TRUE: TRUE}
-        todo = [f]
-        while todo:
-            x = todo[-1]
-            l, h = lo[x], hi[x]
-            if x in new:
-                todo.pop()
-            elif l in new and h in new:
-                todo.pop()
-                v = level[x] + shift
-                self._reserve(v)
-                new[x] = mk(v, new[l], new[h])
-            else:
-                todo.append(h)
-                todo.append(l)
-        return new[f]
+        """f with every level moved by `shift`: the same function of the shifted variables."""
+        return f if shift == 0 else self._copy(f, shift, FALSE, TRUE)
 
     def not_(self, f):
-        cache = self._not
-        if len(cache) > CACHE_LIMIT:
-            cache.clear()
-        level, lo, hi, mk = self.level, self.lo, self.hi, self._mk
+        return self._copy(f, 0, TRUE, FALSE)
+
+    def _copy(self, f, shift, low, high):
+        """f remade node for node, every level moved by `shift`, FALSE sent to `low` and TRUE to `high`.
+
+        A constant shift keeps the order of the levels, and low != high
+        keeps every node's two children apart, so the copy is reduced and
+        ordered as it stands.
+        """
+        level, lo, hi, mk, unique = self.level, self.lo, self.hi, self._mk, self._unique
+        new = {FALSE: low, TRUE: high}
         out = []
         todo = [(f, -1)]
         while todo:
-            f, v = todo.pop()
-            if v >= 0:
+            x, v = todo.pop()
+            if v >= 0:  # both children copied
                 h = out.pop()
                 r = out[-1] = mk(v, out[-1], h)
-                cache[f] = r
-                cache[r] = f
+                new[x] = r
                 continue
-            if f <= TRUE:
-                out.append(TRUE - f)
-                continue
-            r = cache.get(f)
+            r = new.get(x)
             if r is not None:
                 out.append(r)
                 continue
-            todo.append((f, level[f]))
-            todo.append((hi[f], -1))
-            todo.append((lo[f], -1))
+            v = level[x] + shift
+            if v >= len(unique):
+                self._reserve(v)
+            todo.append((x, v))
+            todo.append((hi[x], -1))
+            todo.append((lo[x], -1))
         return out[0]
 
     def exists(self, f, variables):
@@ -351,6 +337,21 @@ class BDD:
         if len(self.level) >= self._gc_at:
             self.collect(pinned)
 
+    def run(self, pinned, operation, *args):
+        """operation(*args), with the arena collected on `pinned` where allowed.
+
+        The operation reads its handles from `pinned`, since a collection
+        renumbers them. It runs after maybe_collect(pinned); if it meets the
+        node cap, the arena is collected and it runs once more, so the cap
+        counts live nodes.
+        """
+        self.maybe_collect(pinned)
+        try:
+            return operation(*args)
+        except NodeCapError:
+            self.collect(pinned)
+            return operation(*args)
+
     def collect(self, pinned):
         """Keep the nodes reachable from the values of dict `pinned`, drop the rest.
 
@@ -390,7 +391,6 @@ class BDD:
         self.level, self.lo, self.hi, self._unique = nlevel, nlo, nhi, unique
         for c in self._cache:
             c.clear()
-        self._not.clear()
         for name, x in pinned.items():
             pinned[name] = new[x]
         self._gc_at = max(GC_MIN_NODES, 2 * nxt)

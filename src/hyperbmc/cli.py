@@ -132,12 +132,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.k < 0:
-        raise driver.ConfigError("bounds must be nonnegative")
     formula = _read_formula(args.formula)
     mdl = _load_models(formula, args.model, args.model_default)
-    f = hl.negate(formula) if args.negate else hl.normalize(formula)
-    value = oracle.check_bounded(mdl, f, args.k, args.semantics, args.paper_literal)
+    cfg = driver.CheckConfig(
+        formula=formula, models=mdl, k_from=args.k, k_max=args.k,
+        semantics=args.semantics, negate_first=args.negate,
+    )
+    value = oracle.check_bounded(mdl, driver.prepare(cfg), args.k, args.semantics, args.paper_literal)
     print("true" if value else "false")
     return 0
 

@@ -143,6 +143,14 @@ def _validate_aps(formula, models):
                 )
 
 
+def prepare(cfg: CheckConfig) -> hl.HyperFormula:
+    """Validate cfg and return the formula to check: its negation if negate_first."""
+    _validate_config(cfg)
+    checked = hl.negate(cfg.formula) if cfg.negate_first else hl.normalize(cfg.formula)
+    _validate_aps(checked, cfg.models)
+    return checked
+
+
 def check(cfg: CheckConfig) -> Verdict:
     """Run the bounded check loop and return the first conclusive verdict.
 
@@ -150,9 +158,7 @@ def check(cfg: CheckConfig) -> Verdict:
     evaluator first; a failed re-verification raises InvalidWitnessError
     instead of reporting, since it can only mean an internal bug.
     """
-    _validate_config(cfg)
-    checked = hl.negate(cfg.formula) if cfg.negate_first else hl.normalize(cfg.formula)
-    _validate_aps(checked, cfg.models)
+    checked = prepare(cfg)
     hint = hl.classify_fragment(checked)
 
     verdict = None

@@ -99,27 +99,27 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     universal distributes over AND and an existential over OR, NOT flips
     it, and children that do not mention `variables` stay outside it.
     Where it stops (an existential over AND, a universal over OR), the
-    children that do mention them are joined and quantified in one
-    relational product. So a block's quantifier meets its own unrolling
-    and the body, never the unrollings of outer traces. A gate keeps its
-    operands as built (circuit.py), so a stop's children, and the split
-    body's below, are read through the nested gates of the same kind that
-    mix `variables` with others. A nested gate over `variables` alone, or
-    over none of them, stays one operand: the block's unrolling is then
-    one BDD, like the outer traces' unrollings (see below).
+    children that do mention them are quantified in relational products
+    (see below). So a block's quantifier meets its own unrolling and the
+    body, never the unrollings of outer traces. A gate keeps its operands
+    as built (circuit.py), so a stop's children, and the split body's
+    below, are read through the nested gates of the same kind that mix
+    `variables` with others. A nested gate over `variables` alone, or over
+    none of them, stays one operand: the block's unrolling is then one
+    BDD, like the outer traces' unrollings (see below).
 
-    The product is split over the body (Burch, Clarke, Long 1991) when
-    exactly one child of the stop mixes `variables` with others, that
-    child is an OR under an existential (an AND under a universal), and
-    at least two of its own children mix them too. The children over
-    `variables` alone join into a guard G, and since ∃Q (G ∧ ∨ d) =
-    ∨ ∃Q (G ∧ d), each disjunct d that mentions Q gets a product of its
-    own, and the whole body is never built. A disjunct without Q needs
-    none: G is over Q alone, so ∃Q (G ∧ d) = d ∧ ∃Q G, which is d unless
-    G is unsatisfiable; an unsatisfiable G makes the whole stop FALSE.
-    Dually under a universal, with conjuncts, a guard joined by OR and
-    a valid guard making the stop TRUE. With one mixed disjunct the split
-    would add products and separate nothing.
+    Every stop is a split (Burch, Clarke, Long 1991): its other children
+    that mention `variables` join into a guard G, and each part meets G in
+    a product of its own. If exactly one child of the stop mixes
+    `variables` with others, that child is an OR under an existential (an
+    AND under a universal), and at least two of its own children mix them
+    too, that child's children are the parts: ∃Q (G ∧ ∨ d) = ∨ ∃Q (G ∧ d),
+    so the whole body is never built. A part without Q needs no product:
+    G is over Q alone, so ∃Q (G ∧ d) = d ∧ ∃Q G, which is d unless G is
+    unsatisfiable; an unsatisfiable G makes the whole stop FALSE. Dually
+    under a universal, with conjuncts, a guard joined by OR and a valid
+    guard making the stop TRUE. Otherwise the one part is the last mixed
+    child, or the last child over `variables` alone if none mixes.
 
     Each node has a shape: the node up to a constant shift of its
     variables, with an offset. A variable's shape is its kind at offset
@@ -143,7 +143,8 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     The circuit is then walked twice without recursion: once to list each
     (node, quantifier) pair below root in post-order with its children,
     and once to build their BDDs. A pair's BDD is dropped as soon as its
-    last parent is built, and the arena is collected on the live ones.
+    last parent is built, and each pair is built by BDD.run, which may
+    collect the arena on the live ones first.
     """
     from . import bdd
 
@@ -172,14 +173,15 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         return sorted(out)
 
     def stop_operands(n):
-        """(A stop's operands, None), or if split (see above) (the rest, the body's)."""
+        """(the others, the parts) of a stop: each part gets a product of its own (see above)."""
         own = operands(n)
         mixed = [c for c in own if mixes(c)]
         if len(mixed) == 1 and kinds[mixed[0]] == (ct.K_OR if kinds[n] == ct.K_AND else ct.K_AND):
             parts = operands(mixed[0])
             if sum(1 for d in parts if mixes(d)) >= 2:
                 return [c for c in own if c != mixed[0]], parts
-        return own, None
+        last = (mixed or [c for c in own if masks[c] & qmask])[-1]
+        return [c for c in own if c != last], [last]
 
     # Each node's shape, interned to an int, and its offset (see above).
     shape, off = [0] * len(kinds), [0] * len(kinds)
@@ -228,8 +230,8 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         elif k in (ct.K_AND, ct.K_OR) and mode == _PLAIN:
             ks = tuple(3 * c for c in payloads[n])
         elif k in (ct.K_AND, ct.K_OR):
-            own, disjuncts = stops[key] = stop_operands(n)
-            ks = tuple(3 * c for c in own + (disjuncts or []))
+            others, parts = stops[key] = stop_operands(n)
+            ks = tuple(3 * c for c in others + parts)
         else:
             ks = ()
         kids[key] = ks
@@ -263,46 +265,31 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         op = bdd.AND if k == ct.K_AND else bdd.OR
         if mode == _PLAIN or mode == (_FORALL if k == ct.K_AND else _EXISTS):
             return mgr.join(op, [memo[c] for c in ks])
-        # The quantifier stops here: join the children that mention its
-        # variables, quantify them in one product, then add the others. The
-        # ones over its variables alone (the block's unrolling) are joined
-        # first, so the product meets the body once, as its last operand.
-        # A split body gets one product per child that mentions them.
-        own, disjuncts = stops[key]
-        pure = [memo[3 * c] for c in own if masks[c] & qmask and not masks[c] & ~qmask]
-        outside = [memo[3 * c] for c in own if not masks[c] & qmask]
+        # The quantifier stops here: the other children that mention its
+        # variables join into a guard, each part that mentions them meets
+        # the guard in one product, and the children without them are
+        # added last.
+        others, parts = stops[key]
         qop = bdd.OR if mode == _EXISTS else bdd.AND
-        if disjuncts is None:
-            inside = pure + [memo[3 * c] for c in own if mixes(c)]
-            node = mgr.quantify(op, qop, mgr.join(op, inside[:-1]), inside[-1], variables)
-        else:
-            guard = mgr.join(op, pure)
-            if guard == (bdd.FALSE if op == bdd.AND else bdd.TRUE):
-                return guard
-            node = mgr.join(qop, [
-                mgr.quantify(op, qop, guard, memo[3 * d], variables) if masks[d] & qmask
-                else memo[3 * d]
-                for d in disjuncts
-            ])
-        return mgr.join(op, [node, *outside])
+        guard = mgr.join(op, [memo[3 * c] for c in others if masks[c] & qmask])
+        if guard == (bdd.FALSE if op == bdd.AND else bdd.TRUE):
+            return guard
+        node = mgr.join(qop, [
+            mgr.quantify(op, qop, guard, memo[3 * d], variables) if masks[d] & qmask else memo[3 * d]
+            for d in parts
+        ])
+        return mgr.join(op, [node, *(memo[3 * c] for c in others if not masks[c] & qmask)])
 
     refs = dict.fromkeys(kids, 0)
     for ks in kids.values():
         for c in ks:
             refs[c] += 1
     for key in order:
-        try:
-            node = build(key)
-        except bdd.NodeCapError:
-            # retry once with only the live nodes in the arena
-            mgr.collect(memo)
-            node = build(key)
-        memo[key] = node
+        memo[key] = mgr.run(memo, build, key)
         for c in kids[key]:
             refs[c] -= 1
             if not refs[c]:
                 del memo[c]
-        mgr.maybe_collect(memo)
     return memo[order[-1]]
 
 
@@ -327,6 +314,11 @@ def solve(q: PrenexQBF, node_cap: int = DEFAULT_NODE_CAP) -> SolveResult:
     from . import bdd
 
     mgr = bdd.BDD(node_cap)
+    pinned = {}
+
+    def eliminate(quant, variables):
+        return (mgr.exists if quant == EXISTS else mgr.forall)(pinned["f"], variables)
+
     try:
         if len(q.blocks) == 1:
             f = _compile(q.circuit, mgr, q.matrix)
@@ -335,14 +327,8 @@ def solve(q: PrenexQBF, node_cap: int = DEFAULT_NODE_CAP) -> SolveResult:
             mode = _EXISTS if quant == EXISTS else _FORALL
             f = _compile(q.circuit, mgr, q.matrix, mode, variables)
         for quant, variables in reversed(q.blocks[1:-1]):
-            eliminate = mgr.exists if quant == EXISTS else mgr.forall
-            pinned = {"f": f}
-            mgr.maybe_collect(pinned)
-            try:
-                f = eliminate(pinned["f"], variables)
-            except bdd.NodeCapError:
-                mgr.collect(pinned)
-                f = eliminate(pinned["f"], variables)
+            pinned["f"] = f
+            f = mgr.run(pinned, eliminate, quant, variables)
     except bdd.NodeCapError as e:
         raise ResourceLimitError(e.nodes) from None
     outer_quant, outer_vars = q.blocks[0]

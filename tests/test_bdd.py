@@ -200,3 +200,86 @@ def test_compile_keeps_shapes_across_collections(monkeypatch):
     f = _compile(c, mgr, root)
     assert len(collections) > 9
     assert bdd_table(mgr, f, 10) == truth_table(c, root, 10)
+
+
+def test_negation_and_relocation_commute_across_collect():
+    # not_ and relocate are one copy loop: one swaps the terminals, the
+    # other shifts the levels, and the two commute
+    rng = random.Random(17)
+    mgr = BDD()
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        e = rand_expr(rng, n, 4)
+        f = build(mgr, e)
+        d = rng.randint(1, 30)
+        pinned = {"f": f, "nf": mgr.not_(f), "moved": mgr.relocate(f, d)}
+        assert mgr.not_(pinned["moved"]) == mgr.relocate(pinned["nf"], d)
+        assert mgr.not_(pinned["nf"]) == f
+        mgr.apply(AND, mgr.var(60), mgr.var(61))  # garbage for the collection
+        mgr.collect(pinned)
+        assert mgr.not_(pinned["moved"]) == mgr.relocate(pinned["nf"], d)
+        assert mgr.not_(pinned["nf"]) == pinned["f"]
+        assert mgr.not_(pinned["f"]) == pinned["nf"]
+        assert bdd_table(mgr, pinned["nf"], n) == truth(("not", e), n)
+
+
+def test_not_raises_node_cap_error_at_the_cap():
+    # the cube x0 & .. & x9 fills an arena of 21 nodes; its negation needs
+    # ten more
+    mgr = BDD(node_cap=21)
+    f = mgr.join(AND, [mgr.var(v) for v in range(10)])
+    assert len(mgr) == 21
+    with pytest.raises(NodeCapError) as e:
+        mgr.not_(f)
+    assert e.value.nodes == 21
+
+
+def test_run_collects_and_retries_once_at_the_cap():
+    # garbage first, then the cube x0 & .. & x9 (19 nodes, 10 of them
+    # live), pinned; relocating it needs 10 more nodes than the cap leaves
+    # until the garbage goes
+    mgr = BDD(node_cap=45)
+    mgr.join(AND, [mgr.var(v) for v in range(20, 30)])
+    pinned = {"f": mgr.join(AND, [mgr.var(v) for v in range(10)])}
+    before = pinned["f"]
+    assert len(mgr) == 40
+    f = mgr.run(pinned, lambda d: mgr.relocate(pinned["f"], d), 10)
+    assert len(mgr) == 22
+    assert pinned["f"] < before
+    assert mgr.path(pinned["f"], TRUE) == dict.fromkeys(range(10), True)
+    assert mgr.path(f, TRUE) == dict.fromkeys(range(10, 20), True)
+    # the live nodes alone and the copy do not fit: the error propagates
+    mgr = BDD(node_cap=21)
+    pinned = {"f": mgr.join(AND, [mgr.var(v) for v in range(10)])}
+    with pytest.raises(NodeCapError) as e:
+        mgr.run(pinned, lambda: mgr.relocate(pinned["f"], 10))
+    assert e.value.nodes == 21
+    assert len(mgr) == 21  # collected to 12 live nodes, then grown to the cap
+
+
+def test_solve_collects_before_a_middle_block_at_the_cap(monkeypatch):
+    # exists x0..x7, forall x8..x15, exists x16..x23 of x_i | (x_(i+8) &
+    # x_(i+16)) at every i: compiling fills an arena of exactly the cap, so
+    # the middle block, which needs new nodes for its cube x0 & .. & x7,
+    # runs again after a collection; a smaller cap ends the solve
+    from hyperbmc.qbf import _EXISTS, _compile
+
+    c = Circuit()
+    matrix = c.and_([c.or_([c.var(i), c.and_([c.var(i + 8), c.var(i + 16)])]) for i in range(8)])
+    blocks = [(EXISTS, tuple(range(8))), (FORALL, tuple(range(8, 16))), (EXISTS, tuple(range(16, 24)))]
+    q = make_prenex(c, blocks, matrix, {})
+    mgr = BDD()
+    _compile(c, mgr, matrix, _EXISTS, blocks[-1][1])
+    collections = []
+    collect = BDD.collect
+
+    def recording_collect(self, pinned):
+        collections.append(sorted(pinned))
+        collect(self, pinned)
+
+    monkeypatch.setattr(BDD, "collect", recording_collect)
+    r = solve(q, node_cap=len(mgr))
+    assert collections == [["f"]]
+    assert r.value is True and r.outer_witness == dict.fromkeys(range(8), True)
+    with pytest.raises(ResourceLimitError):
+        solve(q, node_cap=len(mgr) // 2)

@@ -374,3 +374,14 @@ def test_oracle_negative_bound_is_data_error(capsys, model_file):
     )
     assert (code, out) == (65, "")
     assert err == "error: bounds must be nonnegative\n"
+
+
+@pytest.mark.parametrize("formula, semantics", [
+    ("exists A. zz[A]", "pes"),  # a proposition the model does not declare
+    ("exists A. F a[A]", "hpes"),  # halting semantics on a model without halt states
+])
+def test_oracle_rejects_what_check_rejects(capsys, model_file, formula, semantics):
+    argv = ["--formula", formula, "--model-default", model_file, "-k", "1", "--semantics", semantics]
+    check = run(capsys, "check", *argv)
+    assert check[:2] == (65, "")
+    assert run(capsys, "oracle", *argv) == check
