@@ -14,7 +14,10 @@ moving every level by a constant shift and each terminal to a given one,
 and the copy is reduced and ordered without any apply. relocate() moves
 a BDD onto variables a constant distance away, so a caller builds a
 function that repeats at every step once and relocates it to the other
-steps; not_() swaps the terminals.
+steps; not_() swaps the terminals. relation() builds a BDD from rows of
+values as a trie. paths() builds the paths through a transition table,
+an initial relation AND every step's relation, from the same tries in
+one backward pass over the reachable states, without an apply.
 Dead nodes stay in the arena until collect(), a mark-compact pass from
 the roots a caller pins; it renumbers the survivors, so a caller runs it
 between operations, never inside one: run() is that point. node_cap
@@ -168,21 +171,63 @@ class BDD:
             node = self.apply(op, node, f)
         return node
 
-    def relation(self, variables, rows):
-        """OR of the rows, each a tuple of 0/1 values of the ascending `variables`.
+    def _trie(self, variables, leaves):
+        """Each prefix of the rows of `leaves` mapped to its trie over the ascending `variables`.
 
-        The rows form a trie over the variables, and each node is made
-        once, level by level from the bottom.
+        A row is a tuple of 0/1 values that ends in one value per variable,
+        and `leaves` maps it to a node below the variables. A prefix's
+        trie is the OR, over the rows that start with it, of the row's
+        last values on the variables AND its node. Each node is made once,
+        level by level from the bottom.
         """
         if variables:
             self._reserve(variables[-1])
-        layer = dict.fromkeys(rows, TRUE)
+        layer = leaves
         for v in reversed(variables):
             children = {}
             for bits, node in layer.items():
                 children.setdefault(bits[:-1], [FALSE, FALSE])[bits[-1]] = node
             layer = {p: l if l == h else self._mk(v, l, h) for p, (l, h) in children.items()}
-        return layer.get((), FALSE)
+        return layer
+
+    def relation(self, variables, rows):
+        """OR of the rows, each a tuple of 0/1 values of the ascending `variables`."""
+        return self._trie(variables, dict.fromkeys(rows, TRUE)).get((), FALSE)
+
+    def paths(self, window, init_rows, step_rows, base, stride, steps):
+        """The paths of `steps` steps through a transition table, as one BDD.
+
+        Step i reads the ascending offsets `window` above base + i·stride,
+        and stride exceeds window[-1] - window[0], so the steps follow one
+        another in the order. The result holds where step 0 takes one of
+        `init_rows` and each pair of neighbouring steps one of
+        `step_rows` (a value per offset of the window at the first step,
+        then one per offset at the second): relation(init) AND every
+        step's relation relocated by i·stride, without building either.
+
+        A forward pass lists the codes reachable at each step. A backward
+        pass then makes, for each reachable code at step i, the set of its
+        suffixes: at the last step TRUE, before it the trie over step
+        i+1's window whose leaves are the code's successors' suffix sets,
+        FALSE without successors. The root is the trie over step 0 with
+        the initial codes' suffix sets as leaves. So a node is made only
+        where the result reaches it, once per distinct suffix function.
+        """
+        w = len(window)
+        succ = {}
+        for row in step_rows:
+            succ.setdefault(row[:w], []).append(row[w:])
+        reach = [set(init_rows)]
+        for _ in range(steps):
+            reach.append({t for c in reach[-1] for t in succ.get(c, ())})
+        suffix = dict.fromkeys(reach[steps], TRUE)
+        # suffix holds only the codes whose suffix set is not FALSE: a
+        # FALSE leaf adds nothing to a trie
+        for i in reversed(range(steps)):
+            leaves = {c + t: suffix[t] for c in reach[i] for t in succ.get(c, ()) if t in suffix}
+            suffix = self._trie([base + (i + 1) * stride + o for o in window], leaves)
+        leaves = {c: suffix[c] for c in init_rows if c in suffix}
+        return self._trie([base + o for o in window], leaves).get((), FALSE)
 
     def relocate(self, f, shift):
         """f with every level moved by `shift`: the same function of the shifted variables."""
@@ -198,7 +243,8 @@ class BDD:
         keeps every node's two children apart, so the copy is reduced and
         ordered as it stands.
         """
-        level, lo, hi, mk, unique = self.level, self.lo, self.hi, self._mk, self._unique
+        level, lo, hi, unique, bits = self.level, self.lo, self.hi, self._unique, self._shift
+        cap = self.node_cap if self.node_cap is not None else 1 << bits
         new = {FALSE: low, TRUE: high}
         out = []
         todo = [(f, -1)]
@@ -206,8 +252,19 @@ class BDD:
             x, v = todo.pop()
             if v >= 0:  # both children copied
                 h = out.pop()
-                r = out[-1] = mk(v, out[-1], h)
-                new[x] = r
+                l = out[-1]
+                table = unique[v]  # _mk, inlined as in apply
+                key = l << bits | h
+                r = table.get(key)
+                if r is None:
+                    r = len(level)
+                    if r >= cap:
+                        raise NodeCapError(r)
+                    level.append(v)
+                    lo.append(l)
+                    hi.append(h)
+                    table[key] = r
+                out[-1] = new[x] = r
                 continue
             r = new.get(x)
             if r is not None:

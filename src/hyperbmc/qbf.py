@@ -15,6 +15,7 @@ import shlex
 import subprocess
 import tempfile
 from dataclasses import dataclass
+from itertools import permutations
 
 from . import circuit as ct
 from .circuit import Circuit
@@ -139,6 +140,14 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     the first is built before its copies. A table gate under a
     quantifier quantifies its plain BDD.
 
+    An AND gate whose operands are all table gates, one of a table over
+    the offsets W at base b and the others of a table over W followed by
+    W+d at the bases b, b+d, .., b+(m-1)d, is an unrolling as
+    encoder.unroll_structure builds it: an initial state and m steps of a
+    transition relation. Built without a quantifier, it is one BDD.paths
+    call, which makes only the nodes its result reaches, and its step
+    gates are never built. Every other AND and OR joins its operands.
+
     Shapes take one pass over the arena in id order (children first).
     The circuit is then walked twice without recursion: once to list each
     (node, quantifier) pair below root in post-order with its children,
@@ -183,6 +192,26 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         last = (mixed or [c for c in own if masks[c] & qmask])[-1]
         return [c for c in own if c != last], [last]
 
+    def path_set(n):
+        """The arguments of BDD.paths for AND gate n, if it is an unrolling (see above)."""
+        gates = payloads[n]
+        if any(kinds[c] != ct.K_TABLE for c in gates):
+            return None
+        bases = {}
+        for c in gates:
+            tid, base = payloads[c]
+            bases.setdefault(tid, []).append(base)
+        if len(bases) != 2:
+            return None
+        for (init, (b, *more)), (step, at) in permutations(bases.items()):
+            window, offsets = circ.tables[init][0], circ.tables[step][0]
+            d = offsets[-1] - window[-1]
+            if (not more and d > window[-1] - window[0]
+                    and offsets == (*window, *(o + d for o in window))
+                    and sorted(at) == list(range(b, b + len(at) * d, d))):
+                return window, circ.tables[init][1], circ.tables[step][1], b, d, len(at)
+        return None
+
     # Each node's shape, interned to an int, and its offset (see above).
     shape, off = [0] * len(kinds), [0] * len(kinds)
     shapes = {}
@@ -201,6 +230,7 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
 
     kids = {}
     stops = {}  # stop's key -> stop_operands of its node
+    chains = {}  # an unrolling's key -> its path_set
     first = {}  # shape -> its first PLAIN gate key, which later ones relocate
     moved = {}  # key of a relocated copy -> its shift from the first key
     order = []
@@ -227,6 +257,9 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
             ks = (key_of(payloads[n], flip[mode]),)
         elif k in (ct.K_AND, ct.K_OR) and mode == (_FORALL if k == ct.K_AND else _EXISTS):
             ks = tuple(key_of(c, mode) for c in payloads[n])
+        elif k == ct.K_AND and mode == _PLAIN and (chain := path_set(n)):
+            chains[key] = chain
+            ks = ()
         elif k in (ct.K_AND, ct.K_OR) and mode == _PLAIN:
             ks = tuple(3 * c for c in payloads[n])
         elif k in (ct.K_AND, ct.K_OR):
@@ -255,6 +288,8 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
             return bdd.TRUE if mode == _EXISTS else bdd.FALSE
         if k == ct.K_NOT:
             return mgr.not_(memo[ks[0]])
+        if key in chains:
+            return mgr.paths(*chains[key])
         if k == ct.K_TABLE:
             if mode != _PLAIN:
                 eliminate = mgr.exists if mode == _EXISTS else mgr.forall

@@ -257,6 +257,17 @@ def bdd_value(mgr, f, assignment):
     return f == TRUE
 
 
+def bdd_nodes_since(mgr, f, before):
+    """The nodes reachable from the BDD f that were made at or after arena size `before`."""
+    seen, todo = set(), [f]
+    while todo:
+        x = todo.pop()
+        if x >= before and x not in seen:
+            seen.add(x)
+            todo += [mgr.lo[x], mgr.hi[x]]
+    return seen
+
+
 def bdd_table(mgr, f, n):
     """Truth table of the BDD f over the levels 0..n-1, read one path per assignment."""
     return sum(bdd_value(mgr, f, {v: a >> v & 1 for v in range(n)}) << a for a in range(1 << n))

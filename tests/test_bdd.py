@@ -1,5 +1,6 @@
 import random
 from functools import reduce
+from itertools import product
 from operator import and_, or_
 
 import pytest
@@ -8,7 +9,7 @@ from hyperbmc.bdd import AND, BDD, FALSE, OR, TRUE, NodeCapError
 from hyperbmc.circuit import Circuit
 from hyperbmc.qbf import EXISTS, FORALL, ResourceLimitError, make_prenex, solve
 
-from conftest import bdd_table, bdd_value, fold, truth_table, variable_table
+from conftest import bdd_nodes_since, bdd_table, bdd_value, fold, truth_table, variable_table
 
 
 def rand_expr(rng, n, depth):
@@ -283,3 +284,45 @@ def test_solve_collects_before_a_middle_block_at_the_cap(monkeypatch):
     assert r.value is True and r.outer_witness == dict.fromkeys(range(8), True)
     with pytest.raises(ResourceLimitError):
         solve(q, node_cap=len(mgr) // 2)
+
+
+def rand_path_table(rng):
+    """A window with gaps between its bits, a stride past it, init rows and step rows.
+
+    The first few codes are states, and step rows start only from them; a
+    row may end in a code past the last state or in a state without an
+    outgoing row, and an initial code may be either too.
+    """
+    w = rng.randint(1, 3)
+    window = tuple(sorted(rng.sample(range(w + 2), w)))
+    stride = window[-1] - window[0] + 1 + rng.randint(0, 2)
+    codes = list(product((0, 1), repeat=w))
+    states = codes[:rng.randint(1, len(codes))]
+    step_rows = [s + t for s in states for t in codes if rng.random() < 0.4]
+    init_rows = rng.sample(codes, rng.randint(1, 2))
+    return window, stride, init_rows, step_rows
+
+
+def test_paths_is_the_fold_of_relocated_steps():
+    # one handle in one manager: the BDD is canonical, so paths must give
+    # the handle of init AND every step's relation, relocated i strides
+    rng = random.Random(23)
+    empty = 0
+    for _ in range(300):
+        window, stride, init_rows, step_rows = rand_path_table(rng)
+        steps, base = rng.randint(1, 6), rng.randint(0, 3)
+        mgr = BDD()
+        for _ in range(rng.randint(0, 3)):  # nodes made before, some shared with the result
+            build(mgr, rand_expr(rng, base + 2 * stride, 3))
+        before = len(mgr)
+        f = mgr.paths(window, init_rows, step_rows, base, stride, steps)
+        assert len(mgr) - before == len(bdd_nodes_since(mgr, f, before))
+        init = mgr.relation([base + o for o in window], init_rows)
+        step = mgr.relation([base + o for o in window] + [base + stride + o for o in window], step_rows)
+        assert f == mgr.join(AND, [init, *(mgr.relocate(step, i * stride) for i in range(steps))])
+        empty += f == FALSE
+    assert empty >= 30
+    # no step row starts from the initial code: no path of a step or more
+    mgr = BDD()
+    assert mgr.paths((0, 2), [(1, 1)], [(0, 0, 1, 1), (0, 1, 1, 1)], 0, 3, 1) == FALSE
+    assert mgr.paths((0, 2), [(1, 1)], [(0, 0, 1, 1)], 0, 3, 0) == mgr.relation([0, 2], [(1, 1)])

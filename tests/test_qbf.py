@@ -1,9 +1,11 @@
 import stat
 import sys
 from functools import partial
+from itertools import product
 
 import pytest
 
+from hyperbmc import circuit as ct
 from hyperbmc.circuit import Circuit
 from hyperbmc.qbf import (
     EXISTS,
@@ -19,7 +21,7 @@ from hyperbmc.qbf import (
     solve,
 )
 
-from conftest import COMPLETE_KR, bdd_table, check_result, naive_qbf, reference, truth_table
+from conftest import COMPLETE_KR, bdd_nodes_since, bdd_table, check_result, naive_qbf, reference, truth_table
 
 
 def simple_qbf(blocks_spec, build):
@@ -622,30 +624,38 @@ def _support(mgr, f):
 
 def test_unrolling_joined_once_per_model(monkeypatch):
     # Both traces unroll one model, so their unrollings are one shape: the
-    # first is joined from its k+1 table gates, the other relocated. The
-    # inner one stays one operand at the quantifier's stop, so its gates
-    # are not joined again there as the product's guard.
+    # first is built by one BDD.paths call over its k step gates, which
+    # makes only nodes its result reaches, and the other is relocated.
+    # Neither is a join of its k+1 table gates. The inner one stays one
+    # operand at the quantifier's stop, so its gates are not joined there
+    # as the product's guard either.
     from hyperbmc import bdd, oracle
     from hyperbmc.encoder import assemble_qbf
     from hyperbmc.hyperltl import negate, normalize, parse_formula
-    from hyperbmc.models import builtin_spec, gen_grid, gen_nonrepudiation
+    from hyperbmc.models import PAPER_GRID_10, builtin_spec, gen_grid, gen_nonrepudiation, parse_grid_map
 
     grid = gen_grid(4, 4, {(0, 1), (1, 1), (2, 1)}, [(0, 0)], {(0, 3)})
+    shortest = normalize(parse_formula(builtin_spec("shortest_path").formula))
     cases = [
         (negate(parse_formula(builtin_spec("fair_nonrepudiation").formula)),
          gen_nonrepudiation("incorrect"), 3, oracle.HPES),
-        (normalize(parse_formula(builtin_spec("shortest_path").formula)), grid, 6, oracle.CLASSIC),
+        (shortest, grid, 6, oracle.CLASSIC),
+        (shortest, gen_grid(*parse_grid_map(PAPER_GRID_10)), 20, oracle.CLASSIC),
     ]
     # calls whose result is over one whole block; the wrappers read the
     # current case's k and blocks
-    whole = {"join": 0, "relocate": 0}
+    whole = {"paths": 0, "relocate": 0, "join": 0}
     for name in whole:
         method = getattr(bdd.BDD, name)
 
         def counted(self, *args, _method=method, _name=name):
+            before = len(self)
             r = _method(self, *args)
-            if (_name == "relocate" or len(args[1]) == k + 1) and _support(self, r) in blocks:
+            if (_name != "join" or len(args[1]) == k + 1) and _support(self, r) in blocks:
                 whole[_name] += 1
+            if _name == "paths":
+                assert args[-1] == k
+                assert len(self) - before == len(bdd_nodes_since(self, r, before)) > 0
             return r
 
         monkeypatch.setattr(bdd.BDD, name, counted)
@@ -653,9 +663,100 @@ def test_unrolling_joined_once_per_model(monkeypatch):
         q = assemble_qbf(formula, {v: structure for _, v in formula.prefix}, k, sem)
         blocks = [frozenset(vs) for _, vs in q.blocks]
         assert len(blocks) == 2
-        whole.update(join=0, relocate=0)
+        whole.update(paths=0, relocate=0, join=0)
         solve(q)
-        assert whole == {"join": 1, "relocate": 1}
+        assert whole == {"paths": 1, "relocate": 1, "join": 0}
+
+
+def rand_chain(rng, c, lo):
+    """A block's guard over variables from lo up: an unrolling, or a near miss of one.
+
+    An unrolling is an AND, as unroll_structure builds one, of an initial
+    table over a window at base b and m gates of a step table over the
+    window followed by the window d higher, at bases b, b+d, ..
+    b+(m-1)d. A near miss breaks it in one way: a step gate missing, one
+    off the progression, the gates d+1 apart, the step table's second
+    window shaped unlike its first, an operand that is no table gate, or
+    no initial table. Returns the guard, the block's variables and
+    whether the guard is an unrolling.
+    """
+    w = rng.randint(1, 2)
+    window = (0,) if w == 1 else (0, rng.randint(1, 2))
+    d = window[-1] + 1 + rng.randint(0, 1)
+    m = rng.randint(1, max(1, 4 // d))
+    codes = list(product((0, 1), repeat=w))
+    states = codes[:rng.randint(1, len(codes))]
+    init_rows = [rng.choice(states)]
+    step_rows = [s + t for s in states for t in states if rng.random() < 0.6] or [init_rows[0] * 2]
+    allowed = ["off", "extra", "noinit"] + ["missing", "spacing"] * (m >= 2) + ["unequal"] * (w == 2)
+    miss = rng.choice(allowed) if rng.random() < 0.5 else None
+    second = [o + d for o in window]
+    if miss == "unequal":
+        second[-1] += 1
+    init = c.table(window, init_rows)
+    step = c.table([*window, *second], step_rows)
+    b = lo + rng.randint(0, 1)
+    bases = [b + i * (d + (miss == "spacing")) for i in range(m)]
+    if miss == "missing":
+        del bases[rng.randrange(m - 1)]
+    if miss == "off":
+        bases[-1] += 1
+    gates = [c.table_gate(step, base) for base in bases]
+    if miss != "noinit":
+        gates.append(c.table_gate(init, b))
+    hi = max(bases) + max(second)
+    if miss == "extra":
+        gates.append(c.var(rng.randint(lo, hi)))
+    return c.and_(gates), tuple(range(lo, hi + 1)), miss is None
+
+
+def rand_chain_prenex(rng):
+    """2-3 alternating blocks over at most 12 variables, each guarded by an
+    unrolling or a near miss, chained as assemble_qbf chains them; and the
+    number of unrollings.
+
+    The body is never a constant, which would drop the guards inside it,
+    so every guard is built without a quantifier.
+    """
+    while True:
+        c = Circuit()
+        guards, blocks = [], []
+        quant = rng.choice([EXISTS, FORALL])
+        at = exact = 0
+        for _ in range(rng.randint(2, 3)):
+            guard, variables, is_chain = rand_chain(rng, c, at)
+            guards.append(guard)
+            blocks.append((quant, variables))
+            exact += is_chain
+            at = variables[-1] + 1
+            quant = FORALL if quant == EXISTS else EXISTS
+        if at <= 12:
+            break
+    matrix = ct.TRUE
+    while matrix in (ct.FALSE, ct.TRUE):
+        matrix = rand_gate(rng, c, rng.randint(2, 3), list(range(at)))
+    for (quant, _), guard in zip(reversed(blocks), reversed(guards)):
+        matrix = c.and_([guard, matrix]) if quant == EXISTS else c.implies(guard, matrix)
+    return make_prenex(c, blocks, matrix, {v: f"x{v}" for v in range(at)}), exact
+
+
+def test_chain_guards_agree_with_naive_evaluator(rng, monkeypatch):
+    # an unrolling is built by one BDD.paths call (or relocated from one of
+    # its shape); a near miss is joined
+    calls = _count_calls(monkeypatch, "paths")
+    built = kept = witnesses = 0
+    for _ in range(400):
+        q, exact = rand_chain_prenex(rng)
+        calls[0] = 0
+        r = solve(q)
+        assert (calls[0] > 0) == (exact > 0) and calls[0] <= exact
+        built += calls[0] > 0
+        check_result(q, r)
+        kept += len(q.blocks) - exact
+        witnesses += r.outer_witness is not None
+    assert built >= 100
+    assert kept >= 100
+    assert witnesses >= 100
 
 
 def rand_shifted_prenex(rng):
