@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import hyperltl as hl
 from . import oracle, qbf
-from .encoder import assemble_qbf, build_layout
+from .encoder import assemble_qbf, build_layout, state_orders
 from .kripke import KripkeStructure, TracePrefix, make_prefix, validate
 
 HOLDS = "HOLDS"
@@ -83,16 +83,20 @@ def _flip(interpretation: str) -> str:
 
 
 def extract_witness(assignment, layout, var, structure: KripkeStructure) -> TracePrefix:
-    """Decode one trace variable's block of a solver assignment into a prefix."""
+    """Decode one trace variable's block of a solver assignment into a prefix.
+
+    Each step's bits spell a code, which the layout maps to its state.
+    """
     states = []
     for step in range(layout.bound + 1):
-        idx = 0
+        code = 0
         for j, bit in enumerate(layout.sb_ids(var, step)):
             if assignment[bit]:
-                idx |= 1 << j
-        if idx >= len(structure.states):
-            raise InvalidWitnessError(f"state index {idx} out of range at step {step}")
-        states.append(structure.states[idx])
+                code |= 1 << j
+        state = layout.state(var, code)
+        if state is None:
+            raise InvalidWitnessError(f"state code {code} names no state at step {step}")
+        states.append(state)
     if states[0] != structure.init:
         raise InvalidWitnessError(f"decoded path starts at {states[0]!r}, not the initial state")
     for a, b in zip(states, states[1:]):
@@ -161,9 +165,10 @@ def check(cfg: CheckConfig) -> Verdict:
     checked = prepare(cfg)
     hint = hl.classify_fragment(checked)
 
+    orders = state_orders(cfg.models, checked)
     verdict = None
     for k in range(cfg.k_from, cfg.k_max + 1):
-        layout = build_layout(cfg.models, checked, k)
+        layout = build_layout(cfg.models, checked, k, orders)
         q = assemble_qbf(checked, cfg.models, k, cfg.semantics, cfg.paper_literal, layout)
         if cfg.emit_qcir_path:
             with open(cfg.emit_qcir_path, "w") as fh:

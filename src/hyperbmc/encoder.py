@@ -1,15 +1,17 @@
 """Compile a model map, formula, bound, and semantics into a prenex QBF.
 
 Each trace variable gets one quantifier block holding, per step, its
-ceil(log2 |S|) state bits, which spell a state index. Propositions and the
-reserved @halt proposition are not variables: at each (trace, step) each
-one is a table gate (see circuit.py) over that step's state bits, whose
-rows spell the states that carry it. Each model's label sets, initial
-state and transition relation are registered once per encoding as
-tables over the bits of one step (two, for the transitions, whose rows
-spell a source and a target); every (trace, step) reads them through a
-gate at its own base, so the per-step copies the unrolling repeats are
-never built as circuits.
+ceil(log2 |S|) state bits, which spell a state's code. The layout picks
+each model's codes (see state_orders), so a state's code need not be its
+declaration index. Propositions and the reserved @halt proposition are
+not variables: at each (trace, step) each one is a table gate (see
+circuit.py) over that step's state bits, whose rows spell the codes of
+the states that carry it. Each model's label sets, initial state and
+transition relation are registered once per encoding as tables over the
+bits of one step (two, for the transitions, whose rows spell a source
+and a target); every (trace, step) reads them through a gate at its own
+base, so the per-step copies the unrolling repeats are never built as
+circuits.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +30,7 @@ class EncodeError(Exception):
 
 @dataclass
 class VarLayout:
-    """Variable numbering for every (trace variable, step) pair.
+    """Variable numbering for every (trace variable, step) pair, and each trace's state codes.
 
     Ids are dense and step-major: all of step 0, then all of step 1, and
     so on; within a step the traces follow quantifier-prefix order, and
@@ -38,14 +40,21 @@ class VarLayout:
     levels: interleaving the traces step by step keeps the BDDs that
     relate them at one step small. A trace whose model has one state has
     an empty block.
+
+    A state's code is its index in its trace's entry of `orders` (see
+    state_orders), not in its model's declaration; codes from the number
+    of states up name no state. The encoder spells states and the driver
+    decodes them only through code() and state().
     """
 
     bound: int
     models: dict  # trace variable -> KripkeStructure
+    orders: dict = field(default_factory=dict)  # trace variable -> its model's states in code order
     stride: int = 0  # state bits per step, over all traces
     blocks: list = field(default_factory=list)  # (quantifier, var, [ids])
     names: dict = field(default_factory=dict)  # id -> name
     _sb_ids: dict = field(default_factory=dict)  # (var, step) -> [ids]
+    _codes: dict = field(default_factory=dict)  # var -> {state: code}
 
     def sb_ids(self, var, step):
         return self._sb_ids[(var, step)]
@@ -53,6 +62,14 @@ class VarLayout:
     def base(self, var, step):
         """The least state bit of (var, step); 0 when var's model has one state."""
         return (self._sb_ids[(var, step)] or [0])[0]
+
+    def code(self, var, state):
+        return self._codes[var][state]
+
+    def state(self, var, code):
+        """The state whose code is `code` on var's trace; None where it names none."""
+        order = self.orders[var]
+        return order[code] if code < len(order) else None
 
     def trace_vars(self):
         return [v for _, v, _ in self.blocks]
@@ -68,10 +85,78 @@ def state_bit_count(n_states: int) -> int:
     return (n_states - 1).bit_length() if n_states > 1 else 0
 
 
-def build_layout(models, formula, k) -> VarLayout:
-    """Number the state bits of every trace of the prefix, step-major (see VarLayout)."""
-    layout = VarLayout(bound=k, models={var: models[var] for _, var in formula.prefix})
-    nbits = {var: state_bit_count(len(models[var].states)) for _, var in formula.prefix}
+def state_orders(models, formula) -> dict:
+    """Each trace variable's states in code order: as declared, or in label order.
+
+    A model's states take the label order (see label_order) over the
+    propositions the body reads on the model's trace variables where its
+    label tables (those propositions and @halt) take fewer BDD nodes in it
+    than in the declaration order; a tie keeps the declaration order.
+    States that agree on what the formula reads then share code prefixes,
+    which can shrink the BDDs that read them. Trace variables bound to one
+    model share one order, so their tables and unrollings keep one shape.
+    """
+    read = {}
+    for b in hl.walk(formula.body):
+        if isinstance(b, (hl.Atom, hl.NegAtom)):
+            read.setdefault(b.var, set()).add(b.ap)
+    orders = {}
+    for _, var in formula.prefix:
+        m = models[var]
+        mates = [v for _, v in formula.prefix if models[v] is m or models[v] == m]
+        if mates[0] != var:
+            orders[var] = orders[mates[0]]
+            continue
+        aps = [ap for ap in m.aps if any(ap in read.get(v, ()) for v in mates)]
+        order = label_order(m, aps)
+        if order == m.states or _table_nodes(m, m.states, aps) <= _table_nodes(m, order, aps):
+            order = m.states
+        orders[var] = order
+    return orders
+
+
+def label_order(structure, aps):
+    """structure's states sorted, stably, by their labels over aps.
+
+    A label is read as a binary number whose least significant bit is
+    aps[0], and larger numbers come first; among equal labels the states
+    that do not halt come first.
+    """
+    def key(s):
+        value = sum(1 << j for j, ap in enumerate(aps) if ap in structure.labels[s])
+        return -value, s in structure.halt
+
+    return tuple(sorted(structure.states, key=key))
+
+
+def _table_nodes(structure, order, aps):
+    """BDD nodes of the tables of aps and @halt, with states coded by their index in order."""
+    from . import bdd  # here, as in qbf.solve: the subcommands that encode nothing never need it
+
+    mgr = bdd.BDD()
+    nbits = state_bit_count(len(order))
+    coded = [(s, _bits(nbits, i)) for i, s in enumerate(order)]
+    for ap in (*aps, HALT_AP):
+        carriers = _carriers(structure, ap)
+        mgr.relation(range(nbits), [bits for s, bits in coded if s in carriers])
+    return len(mgr)
+
+
+def build_layout(models, formula, k, orders=None) -> VarLayout:
+    """Number the state bits of every trace, step-major, and code its states (see VarLayout).
+
+    `orders` is state_orders(models, formula), which a caller that lays
+    out several bounds computes once; it is computed here when not given.
+    """
+    if orders is None:
+        orders = state_orders(models, formula)
+    layout = VarLayout(
+        bound=k,
+        models={var: models[var] for _, var in formula.prefix},
+        orders={var: orders[var] for _, var in formula.prefix},
+    )
+    layout._codes = {var: {s: i for i, s in enumerate(o)} for var, o in layout.orders.items()}
+    nbits = {var: state_bit_count(len(order)) for var, order in layout.orders.items()}
     ids = {var: [] for _, var in formula.prefix}
     next_id = 0
     for step in range(k + 1):
@@ -87,13 +172,20 @@ def build_layout(models, formula, k) -> VarLayout:
     return layout
 
 
-def _bits(nbits, idx):
-    """The values of the nbits state bits spelling idx, least significant first."""
-    return tuple(idx >> j & 1 for j in range(nbits))
+def _bits(nbits, code):
+    """The values of the nbits state bits spelling code, least significant first."""
+    return tuple(code >> j & 1 for j in range(nbits))
+
+
+def _carriers(structure, ap):
+    """The states of structure that carry ap; for @halt, its halt states."""
+    if ap == HALT_AP:
+        return structure.halt
+    return {s for s in structure.states if ap in structure.labels[s]}
 
 
 def label_table(circ: Circuit, layout, var, ap) -> int:
-    """Table of the states of var's model that carry ap (or @halt), over one step's bits.
+    """Table of the codes of var's states that carry ap (or @halt), over one step's bits.
 
     One row per such state. On codes that name no state it is false,
     but those codes never matter: see unroll_structure.
@@ -101,14 +193,11 @@ def label_table(circ: Circuit, layout, var, ap) -> int:
     structure = layout.models.get(var)
     if structure is None:
         raise EncodeError(f"trace variable {var!r} is not quantified")
-    if ap == HALT_AP:
-        carries = [s in structure.halt for s in structure.states]
-    elif ap in structure.aps:
-        carries = [ap in structure.labels[s] for s in structure.states]
-    else:
+    if ap != HALT_AP and ap not in structure.aps:
         raise EncodeError(f"proposition {ap!r} not declared for trace variable {var!r}")
     nbits = state_bit_count(len(structure.states))
-    return circ.table(range(nbits), [_bits(nbits, i) for i, c in enumerate(carries) if c])
+    rows = [_bits(nbits, layout.code(var, s)) for s in _carriers(structure, ap)]
+    return circ.table(range(nbits), rows)
 
 
 def label_gate(circ: Circuit, layout, var, step, ap) -> int:
@@ -132,12 +221,15 @@ def unroll_structure(structure, var, k, layout, circ: Circuit) -> int:
     The transition table's offsets span one step from 0 and the next from
     layout.stride, so one gate per step reads it.
     """
-    index = {s: i for i, s in enumerate(structure.states)}
     nbits = state_bit_count(len(structure.states))
-    init = circ.table(range(nbits), [_bits(nbits, index[structure.init])])
+
+    def bits(s):
+        return _bits(nbits, layout.code(var, s))
+
+    init = circ.table(range(nbits), [bits(structure.init)])
     step = circ.table(
         [*range(nbits), *range(layout.stride, layout.stride + nbits)],
-        [_bits(nbits, index[s]) + _bits(nbits, index[d]) for s, d in structure.trans],
+        [bits(s) + bits(d) for s, d in structure.trans],
     )
     parts = [circ.table_gate(init, layout.base(var, 0))]
     parts += [circ.table_gate(step, layout.base(var, i)) for i in range(k)]

@@ -3,7 +3,8 @@
 A structure is a finite set of states with a total transition relation,
 one initial state, a labeling of states with atomic propositions, and an
 optional set of absorbing halt states. Declaration order of states and
-propositions is preserved; it fixes variable numbering downstream.
+propositions is preserved; the encoder's layout starts from it when it
+picks each state's code.
 """
 
 import re

@@ -137,16 +137,18 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     shape, and each step of the body repeats the shapes of the last.
     A copy lists the first gate as its only child, so that BDD lives
     until its last copy is made, and no shape equals a descendant's, so
-    the first is built before its copies. A table gate under a
-    quantifier quantifies its plain BDD.
+    the first is built before its copies.
 
     An AND gate whose operands are all table gates, one of a table over
     the offsets W at base b and the others of a table over W followed by
     W+d at the bases b, b+d, .., b+(m-1)d, is an unrolling as
     encoder.unroll_structure builds it: an initial state and m steps of a
-    transition relation. Built without a quantifier, it is one BDD.paths
-    call, which makes only the nodes its result reaches, and its step
-    gates are never built. Every other AND and OR joins its operands.
+    transition relation. It is one BDD.paths call, which makes only the
+    nodes its result reaches, and its step gates are never built. Every
+    other AND and OR joins its operands. A table gate or an unrolling
+    under a quantifier quantifies its plain BDD, so an unrolling that is
+    itself the quantifier's stop (when the body folds to a constant) is
+    not joined from its gates either.
 
     Shapes take one pass over the arena in id order (children first).
     The circuit is then walked twice without recursion: once to list each
@@ -251,7 +253,7 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
                 kids[key] = (origin,)
                 order.append(key)
                 continue
-        if k == ct.K_TABLE and mode != _PLAIN:
+        if mode != _PLAIN and (k == ct.K_TABLE or k == ct.K_AND and path_set(n)):
             ks = (3 * n,)
         elif k == ct.K_NOT:
             ks = (key_of(payloads[n], flip[mode]),)
@@ -280,6 +282,9 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         ks = kids[key]
         if key in moved:
             return mgr.relocate(memo[ks[0]], moved[key])
+        if mode != _PLAIN and ks == (3 * n,):  # a table gate or an unrolling, built whole
+            eliminate = mgr.exists if mode == _EXISTS else mgr.forall
+            return eliminate(memo[ks[0]], variables)
         if k == ct.K_CONST:
             return n
         if k == ct.K_VAR:
@@ -291,9 +296,6 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         if key in chains:
             return mgr.paths(*chains[key])
         if k == ct.K_TABLE:
-            if mode != _PLAIN:
-                eliminate = mgr.exists if mode == _EXISTS else mgr.forall
-                return eliminate(memo[ks[0]], variables)
             tid, base = payloads[n]
             offsets, rows = circ.tables[tid]
             return mgr.relation([base + o for o in offsets], rows)

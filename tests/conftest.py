@@ -1,5 +1,6 @@
 """Shared helpers: random instance generators and independent reference oracles."""
 
+import dataclasses
 import random
 from collections import deque
 from functools import cache, reduce
@@ -51,6 +52,18 @@ def rand_kripke(rng, max_states=4, max_aps=2, halting=False, dense=False):
     )
     validate(k)
     return k
+
+
+def permuted(structure, rng):
+    """structure with its other states declared in rng's shuffled order, init kept in place.
+
+    perfbench/workloads.py permutes its models the same way, one shuffle per
+    model from random.Random(seed).
+    """
+    order = [s for s in structure.states if s != structure.init]
+    rng.shuffle(order)
+    order.insert(structure.states.index(structure.init), structure.init)
+    return dataclasses.replace(structure, states=tuple(order))
 
 
 def rand_acyclic_halting(rng, max_states=4, max_aps=2):

@@ -13,8 +13,10 @@ from hyperbmc.encoder import (
     build_layout,
     encode_body,
     label_gate,
+    label_order,
     label_table,
     state_bit_count,
+    state_orders,
     unroll_structure,
 )
 from hyperbmc.hyperltl import Atom, Next, Release, Until, normalize, parse_formula
@@ -226,8 +228,8 @@ def test_spurious_assignment_immunity():
     q = assemble_qbf(f, models, 1, oracle.PES, layout=layout)
     circ = q.circuit
 
-    def spell(step, idx):
-        return {bit: bool(idx >> j & 1) for j, bit in enumerate(layout.sb_ids("A", step))}
+    def spell(step, code):
+        return {bit: bool(code >> j & 1) for j, bit in enumerate(layout.sb_ids("A", step))}
 
     def value_with(assignment):
         m = q.matrix
@@ -239,41 +241,47 @@ def test_spurious_assignment_immunity():
         return qsolve(rest).value
 
     # s0 then s0 is not a transition of THREE; s0 then code 3 names no state
-    no_edge = {**spell(0, 0), **spell(1, 0)}
-    no_state = {**spell(0, 0), **spell(1, 3)}
+    s0, s1 = layout.code("A", "s0"), layout.code("A", "s1")
+    assert layout.state("A", 3) is None
+    no_edge = {**spell(0, s0), **spell(1, s0)}
+    no_state = {**spell(0, s0), **spell(1, 3)}
     assert circ.evaluate(label_gate(circ, layout, "A", 1, "a"), no_edge) is True
     assert circ.evaluate(label_gate(circ, layout, "A", 1, "a"), no_state) is False
     for bad in (no_edge, no_state):
         assert value_with(bad) is True  # the guard makes the branch vacuous
     # on the legal path s0 s1 the body decides, and pes never establishes G
-    assert value_with({**spell(0, 0), **spell(1, 1)}) is False
+    assert value_with({**spell(0, s0), **spell(1, s1)}) is False
 
 
-def reference_minterm(circ, layout, var, step, idx):
-    """The state bits of (var, step) spell idx, built literal by literal."""
+def reference_minterm(circ, layout, var, step, state):
+    """The state bits of (var, step) spell state's code, built literal by literal."""
+    code = layout.code(var, state)
     return circ.and_([
-        circ.var(b) if idx >> j & 1 else circ.not_(circ.var(b))
+        circ.var(b) if code >> j & 1 else circ.not_(circ.var(b))
         for j, b in enumerate(layout.sb_ids(var, step))
     ])
 
 
 def test_table_gates_equal_their_minterms(rng):
+    # under the declaration order and the label order alike
     from conftest import rand_kripke
 
-    one_state = 0
-    for _ in range(30):
+    one_state = relabelled = 0
+    for i in range(60):
         m = rand_kripke(rng, max_states=rng.choice([1, 3, 4]), halting=rng.random() < 0.5)
         one_state += len(m.states) == 1
+        order = m.states if i % 2 else label_order(m, m.aps)
+        relabelled += order != m.states
         k = 2
         models = {"A": m, "B": m}
-        layout = layout_for(models, ((hl.FORALL, "A"), (hl.EXISTS, "B")), k)
+        f = hl.HyperFormula(prefix=((hl.FORALL, "A"), (hl.EXISTS, "B")), body=hl.TRUE)
+        layout = build_layout(models, f, k, dict.fromkeys(models, order))
         circ = Circuit()
-        index = {s: i for i, s in enumerate(m.states)}
         for var in models:
             for step in range(k + 1):
                 for ap in (*m.aps, HALT_AP):
                     carries = m.halt if ap == HALT_AP else {s for s in m.states if ap in m.labels[s]}
-                    want = circ.or_([reference_minterm(circ, layout, var, step, index[s]) for s in carries])
+                    want = circ.or_([reference_minterm(circ, layout, var, step, s) for s in carries])
                     got = label_gate(circ, layout, var, step, ap)
                     if len(m.states) == 1:
                         assert got == want == (ct.TRUE if carries else ct.FALSE)
@@ -281,11 +289,11 @@ def test_table_gates_equal_their_minterms(rng):
                     for bits in itertools.product([False, True], repeat=len(ids)):
                         env = dict(zip(ids, bits))
                         assert circ.evaluate(got, env) == circ.evaluate(want, env)
-            parts = [reference_minterm(circ, layout, var, 0, index[m.init])]
+            parts = [reference_minterm(circ, layout, var, 0, m.init)]
             for step in range(k):
                 parts.append(circ.or_([
-                    circ.and_([reference_minterm(circ, layout, var, step, index[s]),
-                               reference_minterm(circ, layout, var, step + 1, index[d])])
+                    circ.and_([reference_minterm(circ, layout, var, step, s),
+                               reference_minterm(circ, layout, var, step + 1, d)])
                     for s, d in m.trans
                 ]))
             want = circ.and_(parts)
@@ -297,6 +305,7 @@ def test_table_gates_equal_their_minterms(rng):
                 env = dict(zip(ids, bits))
                 assert circ.evaluate(got, env) == circ.evaluate(want, env)
     assert one_state >= 3
+    assert relabelled >= 5
 
 
 def test_traces_over_one_model_share_tables():
@@ -370,3 +379,171 @@ def test_qcir_round_trip_keeps_value():
         for sem in oracle.SEMANTICS:
             q = assemble_qbf(f, models, k, sem, layout=layout)
             assert solve(parse_qcir(emit_qcir(q))).value == solve(q).value, (sem, k)
+
+
+def test_paths_round_trip_through_the_layout_codes(rng):
+    # a path spelled in the layout's codes reads its own labels, satisfies
+    # the unrolling and decodes back to itself, in either order
+    from conftest import rand_kripke
+    from hyperbmc.driver import extract_witness
+
+    paths = relabelled = 0
+    for _ in range(60):
+        m = rand_kripke(rng, max_states=6, halting=rng.random() < 0.5)
+        k = rng.randint(0, 3)
+        models = {"A": m, "B": m}
+        f = hl.HyperFormula(prefix=((hl.EXISTS, "A"), (hl.FORALL, "B")), body=hl.TRUE)
+        for order in (m.states, label_order(m, m.aps)):
+            relabelled += order != m.states
+            layout = build_layout(models, f, k, dict.fromkeys(models, order))
+            assert [layout.state("A", c) for c in range(len(order))] == list(order)
+            assert layout.state("A", len(order)) is None
+            circ = Circuit()
+            unrolled = unroll_structure(m, "A", k, layout, circ)
+            prefixes = enumerate_prefixes(m, k)
+            for prefix in rng.sample(prefixes, min(4, len(prefixes))):
+                assignment = dict.fromkeys(layout.names, False)
+                for step, s in enumerate(prefix.states):
+                    code = layout.code("A", s)
+                    for j, bit in enumerate(layout.sb_ids("A", step)):
+                        assignment[bit] = bool(code >> j & 1)
+                assert extract_witness(assignment, layout, "A", m) == prefix
+                assert circ.evaluate(unrolled, assignment) is True
+                for step, s in enumerate(prefix.states):
+                    for ap in (*m.aps, HALT_AP):
+                        carries = s in m.halt if ap == HALT_AP else ap in m.labels[s]
+                        assert circ.evaluate(label_gate(circ, layout, "A", step, ap), assignment) is carries
+                paths += 1
+    assert paths >= 150
+    assert relabelled >= 20
+
+
+def _paper_model(name, seed=None):
+    """A bundled model, its negated (or normalized) spec, and the check's semantics and bound.
+
+    A seed permutes the model as perfbench/workloads.py does: paper-cases
+    shuffles bakery2, then nonrep incorrect, then nonrep correct, from one
+    random.Random(seed); grid10-plan shuffles grid10 from a fresh one.
+    """
+    from conftest import permuted
+    from hyperbmc import models as gen
+
+    def spec(text):
+        return hl.negate(parse_formula(gen.builtin_spec(text).formula))
+
+    cases = {
+        "bakery2": (lambda: gen.gen_bakery(2), spec("symmetry"), oracle.PES, 4),
+        "nonrep-incorrect": (lambda: gen.gen_nonrepudiation("incorrect"),
+                             spec("fair_nonrepudiation"), oracle.HPES, 15),
+        "nonrep-correct": (lambda: gen.gen_nonrepudiation("correct"),
+                           spec("fair_nonrepudiation"), oracle.HOPT, 15),
+        "bakery3": (lambda: gen.gen_bakery(3), spec("symmetry"), oracle.PES, 4),
+        "grid10": (lambda: gen.gen_grid(*gen.parse_grid_map(gen.PAPER_GRID_10)),
+                   normalize(parse_formula(gen.builtin_spec("shortest_path").formula)), oracle.CLASSIC, 20),
+    }
+    make, formula, sem, k = cases[name]
+    model = make()
+    if seed is not None:
+        rng = random.Random(seed)
+        before = {"nonrep-incorrect": ["bakery2"], "nonrep-correct": ["bakery2", "nonrep-incorrect"]}
+        for other in before.get(name, []):
+            permuted(cases[other][0](), rng)
+        model = permuted(model, rng)
+    return model, formula, sem, k
+
+
+def _orders(model, formula):
+    return state_orders({v: model for _, v in formula.prefix}, formula)
+
+
+def test_label_order_is_chosen_where_it_shrinks_the_label_tables():
+    label, declared = [], []
+    for name, seed in [("nonrep-incorrect", None), ("nonrep-correct", None),
+                       ("nonrep-incorrect", 1), ("nonrep-correct", 1), ("bakery2", 1),
+                       ("bakery2", None), ("bakery3", None), ("grid10", None), ("grid10", 1)]:
+        model, formula, _, _ = _paper_model(name, seed)
+        orders = _orders(model, formula)
+        (order,) = set(orders.values())  # both traces share one order
+        (label if order != model.states else declared).append((name, seed))
+        if order != model.states:
+            read = {b.ap for b in hl.walk(formula.body) if isinstance(b, (Atom, hl.NegAtom))}
+            assert order == label_order(model, [ap for ap in model.aps if ap in read])
+    assert label == [("nonrep-incorrect", None), ("nonrep-correct", None),
+                     ("nonrep-incorrect", 1), ("nonrep-correct", 1), ("bakery2", 1)]
+    assert declared == [("bakery2", None), ("bakery3", None), ("grid10", None), ("grid10", 1)]
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "data", "fig_acyclic.kr")) as fh:
+        fig = parse_kripke(fh.read())
+    formula = normalize(parse_formula("forall A. exists B. G (a[A] <-> a[B])"))
+    assert _orders(fig, formula) == {"A": fig.states, "B": fig.states}
+
+
+def test_label_order_sorts_by_label_then_halting():
+    m = parse_kripke(
+        "ap a b c; states s0 s1 s2 s3 s4 s5; init s0; halt s1 s4; "
+        "label s0 {}; label s1 {a}; label s2 {b}; label s3 {a}; label s4 {a,b,c}; label s5 {a,b}; "
+        "trans s0 -> s1; trans s1 -> s1; trans s2 -> s3; trans s3 -> s4; trans s4 -> s4; trans s5 -> s0;"
+    )
+    # over a and b, a the least significant bit: {a,b} = 3, {b} = 2, {a} = 1
+    assert label_order(m, ["a", "b"]) == ("s5", "s4", "s2", "s3", "s1", "s0")
+    assert label_order(m, []) == ("s0", "s2", "s3", "s5", "s1", "s4")
+
+
+def _solver_nodes(monkeypatch, model, formula, sem, k, orders):
+    """Nodes in the arena of the builtin solver's manager at the end of the solve."""
+    from hyperbmc import bdd
+
+    managers = []
+    init = bdd.BDD.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        managers.append(self)
+
+    monkeypatch.setattr(bdd.BDD, "__init__", recorded)
+    models = {v: model for _, v in formula.prefix}
+    layout = build_layout(models, formula, k, orders)
+    q = assemble_qbf(formula, models, k, sem, layout=layout)
+    solve(q)
+    (mgr,) = managers
+    assert len(mgr) < bdd.GC_MIN_NODES  # never collected: its size is its peak
+    return len(mgr)
+
+
+def test_node_counts_in_declaration_and_chosen_order(monkeypatch):
+    # the benchmark's seed-1 models at the largest bound each check solves
+    want = {
+        "nonrep-incorrect": (43_377, 19_564),
+        "nonrep-correct": (45_956, 18_987),
+        "bakery2": (5_288, 3_366),
+        "grid10": (18_517, 18_517),
+    }
+    got = {}
+    for name in want:
+        model, formula, sem, k = _paper_model(name, 1)
+        declared = {v: model.states for _, v in formula.prefix}
+        chosen = _orders(model, formula)
+        got[name] = tuple(_solver_nodes(monkeypatch, model, formula, sem, k, o) for o in (declared, chosen))
+    assert got == want
+
+
+_ORDER_PROBE = """
+import test_encoder
+for name in ("bakery2", "nonrep-incorrect", "nonrep-correct", "grid10"):
+    model, formula, _, _ = test_encoder._paper_model(name, 1)
+    print(name, test_encoder._orders(model, formula))
+"""
+
+
+def test_state_orders_do_not_depend_on_hashing():
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hl.__file__)))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _ORDER_PROBE],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]), PYTHONHASHSEED=seed),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert runs[0] == runs[1]
+    assert runs[0].count("\n") == 4

@@ -677,8 +677,9 @@ def rand_chain(rng, c, lo):
     b+(m-1)d. A near miss breaks it in one way: a step gate missing, one
     off the progression, the gates d+1 apart, the step table's second
     window shaped unlike its first, an operand that is no table gate, or
-    no initial table. Returns the guard, the block's variables and
-    whether the guard is an unrolling.
+    no initial table. Returns the guard, the block's variables and, for
+    an unrolling, its shape: unrollings of one shape are the same
+    function of variables a constant distance apart.
     """
     w = rng.randint(1, 2)
     window = (0,) if w == 1 else (0, rng.randint(1, 2))
@@ -707,56 +708,70 @@ def rand_chain(rng, c, lo):
     hi = max(bases) + max(second)
     if miss == "extra":
         gates.append(c.var(rng.randint(lo, hi)))
-    return c.and_(gates), tuple(range(lo, hi + 1)), miss is None
+    shape = (init, step, m) if miss is None else None
+    return c.and_(gates), tuple(range(lo, hi + 1)), shape
 
 
 def rand_chain_prenex(rng):
     """2-3 alternating blocks over at most 12 variables, each guarded by an
-    unrolling or a near miss, chained as assemble_qbf chains them; and the
-    number of unrollings.
+    unrolling or a near miss, chained as assemble_qbf chains them.
 
-    The body is never a constant, which would drop the guards inside it,
-    so every guard is built without a quantifier.
+    In about one instance in three the body is the constant that keeps
+    the innermost guard (TRUE under an existential, FALSE under a
+    universal), which leaves that guard as the node the innermost
+    quantifier stops at; otherwise it is not constant, and every guard
+    is built without a quantifier. Returns the QBF, the shapes of its
+    unrollings, one per block (None for a near miss), and whether the
+    body is constant.
     """
     while True:
         c = Circuit()
-        guards, blocks = [], []
+        guards, blocks, shapes = [], [], []
         quant = rng.choice([EXISTS, FORALL])
-        at = exact = 0
+        at = 0
         for _ in range(rng.randint(2, 3)):
-            guard, variables, is_chain = rand_chain(rng, c, at)
+            guard, variables, shape = rand_chain(rng, c, at)
             guards.append(guard)
             blocks.append((quant, variables))
-            exact += is_chain
+            shapes.append(shape)
             at = variables[-1] + 1
             quant = FORALL if quant == EXISTS else EXISTS
         if at <= 12:
             break
-    matrix = ct.TRUE
-    while matrix in (ct.FALSE, ct.TRUE):
-        matrix = rand_gate(rng, c, rng.randint(2, 3), list(range(at)))
+    constant = rng.random() < 1 / 3
+    if constant:
+        matrix = ct.TRUE if blocks[-1][0] == EXISTS else ct.FALSE
+    else:
+        matrix = ct.TRUE
+        while matrix in (ct.FALSE, ct.TRUE):
+            matrix = rand_gate(rng, c, rng.randint(2, 3), list(range(at)))
     for (quant, _), guard in zip(reversed(blocks), reversed(guards)):
         matrix = c.and_([guard, matrix]) if quant == EXISTS else c.implies(guard, matrix)
-    return make_prenex(c, blocks, matrix, {v: f"x{v}" for v in range(at)}), exact
+    return make_prenex(c, blocks, matrix, {v: f"x{v}" for v in range(at)}), shapes, constant
 
 
 def test_chain_guards_agree_with_naive_evaluator(rng, monkeypatch):
-    # an unrolling is built by one BDD.paths call (or relocated from one of
-    # its shape); a near miss is joined
+    # an unrolling is built by one BDD.paths call per shape, relocated to
+    # the others of its shape; a near miss is joined. So is an innermost
+    # unrolling that the body's constant leaves as the quantifier's stop:
+    # one paths call, then quantified, and none of its gates joined.
     calls = _count_calls(monkeypatch, "paths")
-    built = kept = witnesses = 0
+    built = kept = witnesses = stops = 0
     for _ in range(400):
-        q, exact = rand_chain_prenex(rng)
+        q, shapes, constant = rand_chain_prenex(rng)
         calls[0] = 0
         r = solve(q)
-        assert (calls[0] > 0) == (exact > 0) and calls[0] <= exact
+        distinct = set(shapes) - {None}
+        assert calls[0] == len(distinct)
         built += calls[0] > 0
+        stops += constant and shapes[-1] is not None and shapes.count(shapes[-1]) == 1
         check_result(q, r)
-        kept += len(q.blocks) - exact
+        kept += shapes.count(None)
         witnesses += r.outer_witness is not None
     assert built >= 100
     assert kept >= 100
     assert witnesses >= 100
+    assert stops >= 30
 
 
 def rand_shifted_prenex(rng):
