@@ -14,10 +14,11 @@ moving every level by a constant shift and each terminal to a given one,
 and the copy is reduced and ordered without any apply. relocate() moves
 a BDD onto variables a constant distance away, so a caller builds a
 function that repeats at every step once and relocates it to the other
-steps; not_() swaps the terminals. relation() builds a BDD from rows of
-values as a trie. paths() builds the paths through a transition table,
-an initial relation AND every step's relation, from the same tries in
-one backward pass over the reachable states, without an apply.
+steps; not_() swaps the terminals. relation() builds a BDD as a trie of
+rows, each an int whose bits are its variables' values, as a state's
+code is. paths() builds the paths through a transition table, an initial
+relation AND every step's relation, from the same tries in one backward
+pass over the reachable states, without an apply.
 Dead nodes stay in the arena until collect(), a mark-compact pass from
 the roots a caller pins; it renumbers the survivors, so a caller runs it
 between operations, never inside one: run() is that point. node_cap
@@ -171,38 +172,39 @@ class BDD:
             node = self.apply(op, node, f)
         return node
 
-    def _trie(self, variables, leaves):
+    def _trie(self, variables, leaves, low=0):
         """Each prefix of the rows of `leaves` mapped to its trie over the ascending `variables`.
 
-        A row is a tuple of 0/1 values that ends in one value per variable,
-        and `leaves` maps it to a node below the variables. A prefix's
-        trie is the OR, over the rows that start with it, of the row's
-        last values on the variables AND its node. Each node is made once,
-        level by level from the bottom.
+        A row is an int: bit low + j is its value on variables[j], and the
+        bits below low are its prefix. `leaves` maps it to a node below the
+        variables. A prefix's trie is the OR, over the rows with that
+        prefix, of the row's values on the variables AND its node. Each
+        node is made once, level by level from the bottom.
         """
         if variables:
             self._reserve(variables[-1])
         layer = leaves
-        for v in reversed(variables):
+        for bit, v in reversed(list(enumerate(variables, low))):
+            mask = (1 << bit) - 1
             children = {}
-            for bits, node in layer.items():
-                children.setdefault(bits[:-1], [FALSE, FALSE])[bits[-1]] = node
+            for row, node in layer.items():
+                children.setdefault(row & mask, [FALSE, FALSE])[row >> bit] = node
             layer = {p: l if l == h else self._mk(v, l, h) for p, (l, h) in children.items()}
         return layer
 
     def relation(self, variables, rows):
-        """OR of the rows, each a tuple of 0/1 values of the ascending `variables`."""
-        return self._trie(variables, dict.fromkeys(rows, TRUE)).get((), FALSE)
+        """OR of the rows, each an int whose bit j is its value of variables[j], ascending."""
+        return self._trie(variables, dict.fromkeys(rows, TRUE)).get(0, FALSE)
 
     def paths(self, window, init_rows, step_rows, base, stride, steps):
         """The paths of `steps` steps through a transition table, as one BDD.
 
         Step i reads the ascending offsets `window` above base + i·stride,
         and stride exceeds window[-1] - window[0], so the steps follow one
-        another in the order. The result holds where step 0 takes one of
-        `init_rows` and each pair of neighbouring steps one of
-        `step_rows` (a value per offset of the window at the first step,
-        then one per offset at the second): relation(init) AND every
+        another in the order. The result holds where step 0 spells one of
+        the codes `init_rows` and each pair of neighbouring steps one of
+        `step_rows`, whose low len(window) bits are the first step's code
+        and the bits above them the second's: relation(init) AND every
         step's relation relocated by i·stride, without building either.
 
         A forward pass lists the codes reachable at each step. A backward
@@ -214,9 +216,10 @@ class BDD:
         where the result reaches it, once per distinct suffix function.
         """
         w = len(window)
+        mask = (1 << w) - 1
         succ = {}
         for row in step_rows:
-            succ.setdefault(row[:w], []).append(row[w:])
+            succ.setdefault(row & mask, []).append(row >> w)
         reach = [set(init_rows)]
         for _ in range(steps):
             reach.append({t for c in reach[-1] for t in succ.get(c, ())})
@@ -224,10 +227,10 @@ class BDD:
         # suffix holds only the codes whose suffix set is not FALSE: a
         # FALSE leaf adds nothing to a trie
         for i in reversed(range(steps)):
-            leaves = {c + t: suffix[t] for c in reach[i] for t in succ.get(c, ()) if t in suffix}
-            suffix = self._trie([base + (i + 1) * stride + o for o in window], leaves)
+            leaves = {c | t << w: suffix[t] for c in reach[i] for t in succ.get(c, ()) if t in suffix}
+            suffix = self._trie([base + (i + 1) * stride + o for o in window], leaves, w)
         leaves = {c: suffix[c] for c in init_rows if c in suffix}
-        return self._trie([base + o for o in window], leaves).get((), FALSE)
+        return self._trie([base + o for o in window], leaves).get(0, FALSE)
 
     def relocate(self, f, shift):
         """f with every level moved by `shift`: the same function of the shifted variables."""

@@ -15,12 +15,13 @@ cofactoring skip entire subDAGs that do not mention the variable.
 
 Node kinds: constants, variables, NOT, AND and OR gates, and table gates.
 A table is a relation over fixed offsets, registered once per circuit
-(see table): the rows of 0/1 values its offsets may take. A table gate
-is that table over the variables `base` above its offsets. A function
-that repeats over a shifted window of variables, like a model's
-transition relation at every step of an unrolling, is then one table
-and one small node per window. evaluate looks a table gate's values up
-among its rows; cofactors (and so restrict) expand it into AND/OR gates.
+(see table): its rows are the codes its offsets may spell, bit j of a
+code being the value at offsets[j]. A table gate is that table over the
+variables `base` above its offsets. A function that repeats over a
+shifted window of variables, like a model's transition relation at every
+step of an unrolling, is then one table and one small node per window.
+evaluate looks a table gate's code up among its rows; cofactors (and so
+restrict) expand it into AND/OR gates.
 """
 
 FALSE = 0
@@ -42,7 +43,7 @@ class Circuit:
         self.payloads = [False, True]
         self.masks = [0, 0]  # variable support as a bitmask
         self._intern = {}
-        self.tables = []  # table id -> (ascending offsets, sorted tuple of rows)
+        self.tables = []  # table id -> (ascending offsets, sorted tuple of int rows)
         self._table_ids = {}
 
     def __len__(self):
@@ -97,9 +98,9 @@ class Circuit:
     def table(self, offsets, rows):
         """Id of the relation `rows` over the ascending `offsets`, registered once.
 
-        A row is a tuple of 0/1 values, one per offset, saying that the
-        variable `offset` above the gate's base has that value; the table
-        holds where the variables take one of its rows.
+        A row is an int whose bit j says that the variable offsets[j]
+        above the gate's base has that value; the table holds where the
+        variables spell one of its rows.
         """
         key = (tuple(offsets), tuple(sorted(set(rows))))
         tid = self._table_ids.get(key)
@@ -118,15 +119,18 @@ class Circuit:
         return self._mk(K_TABLE, (tid, base), sum(1 << (base + o) for o in offsets))
 
     def expand(self, n):
-        """Table gate n as an OR of ANDs of literals, one AND per row."""
+        """Table gate n as an OR of ANDs of literals, one AND per row.
+
+        The ANDs are made in the order of the rows' values read from
+        offsets[0] first, not the ints' order: that numbers the nodes, and
+        so the QCIR that emit_qcir writes.
+        """
         tid, base = self.payloads[n]
         offsets, rows = self.tables[tid]
-        lits = {}
-        for j, column in enumerate(zip(*rows)):
-            v = self.var(base + offsets[j])
-            for b in sorted(set(column)):
-                lits[j, b] = v if b else self.not_(v)
-        return self.or_([self.and_([lits[j, b] for j, b in enumerate(r)]) for r in rows])
+        lits = [(self.not_(v) if any(not r >> j & 1 for r in rows) else None, v)
+                for j, v in enumerate(self.var(base + o) for o in offsets)]
+        order = sorted(rows, key=lambda r: format(r, f"0{len(offsets)}b")[::-1])
+        return self.or_([self.and_([lit[r >> j & 1] for j, lit in enumerate(lits)]) for r in order])
 
     def implies(self, a, b):
         return self.or_([self.not_(a), b])
@@ -204,7 +208,7 @@ class Circuit:
                 memo[n] = assignment[p]
             elif k == K_TABLE:
                 offsets, rows = self.tables[p[0]]
-                memo[n] = tuple(assignment[p[1] + o] for o in offsets) in rows
+                memo[n] = sum(assignment[p[1] + o] << j for j, o in enumerate(offsets)) in rows
             elif not ready:
                 stack.append((n, True))
                 for c in self.children(n):

@@ -67,6 +67,9 @@ def _load_models(formula, model_args, model_default):
 
 
 def _cmd_check(args) -> int:
+    for path in filter(None, (args.witness, args.emit_qcir)):  # before any bound is encoded
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise OSError(f"cannot write {path}: it is a directory, or its directory does not exist")
     formula = _read_formula(args.formula)
     mdl = _load_models(formula, args.model, args.model_default)
     semantics = args.semantics

@@ -4,6 +4,7 @@ check() encodes the selected formula for k = kFrom..kMax, solves each
 bound, and stops at the first verdict the one-sided soundness results
 license: a pessimistic-family TRUE establishes the checked formula, an
 optimistic-family FALSE refutes it, everything else is inconclusive.
+Under classic no bound is conclusive, so only kMax is solved.
 With negate-first workflows the verdict then maps back to the original
 formula, turning an established negation into a refutation with a
 counterexample and vice versa.
@@ -89,10 +90,7 @@ def extract_witness(assignment, layout, var, structure: KripkeStructure) -> Trac
     """
     states = []
     for step in range(layout.bound + 1):
-        code = 0
-        for j, bit in enumerate(layout.sb_ids(var, step)):
-            if assignment[bit]:
-                code |= 1 << j
+        code = sum(assignment[bit] << j for j, bit in enumerate(layout.sb_ids(var, step)))
         state = layout.state(var, code)
         if state is None:
             raise InvalidWitnessError(f"state code {code} names no state at step {step}")
@@ -167,7 +165,7 @@ def check(cfg: CheckConfig) -> Verdict:
 
     orders = state_orders(cfg.models, checked)
     verdict = None
-    for k in range(cfg.k_from, cfg.k_max + 1):
+    for k in range(cfg.k_max if cfg.semantics == oracle.CLASSIC else cfg.k_from, cfg.k_max + 1):
         layout = build_layout(cfg.models, checked, k, orders)
         q = assemble_qbf(checked, cfg.models, k, cfg.semantics, cfg.paper_literal, layout)
         if cfg.emit_qcir_path:

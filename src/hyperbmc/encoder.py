@@ -5,13 +5,13 @@ ceil(log2 |S|) state bits, which spell a state's code. The layout picks
 each model's codes (see state_orders), so a state's code need not be its
 declaration index. Propositions and the reserved @halt proposition are
 not variables: at each (trace, step) each one is a table gate (see
-circuit.py) over that step's state bits, whose rows spell the codes of
-the states that carry it. Each model's label sets, initial state and
+circuit.py) over that step's state bits, whose rows are the codes of the
+states that carry it. Each model's label sets, initial state and
 transition relation are registered once per encoding as tables over the
-bits of one step (two, for the transitions, whose rows spell a source
-and a target); every (trace, step) reads them through a gate at its own
-base, so the per-step copies the unrolling repeats are never built as
-circuits.
+bits of one step (two, for the transitions, whose rows hold a source's
+code and a target's); every (trace, step) reads them through a gate at
+its own base, so the per-step copies the unrolling repeats are never
+built as circuits.
 """
 
 from dataclasses import dataclass, field
@@ -135,10 +135,9 @@ def _table_nodes(structure, order, aps):
 
     mgr = bdd.BDD()
     nbits = state_bit_count(len(order))
-    coded = [(s, _bits(nbits, i)) for i, s in enumerate(order)]
     for ap in (*aps, HALT_AP):
         carriers = _carriers(structure, ap)
-        mgr.relation(range(nbits), [bits for s, bits in coded if s in carriers])
+        mgr.relation(range(nbits), [i for i, s in enumerate(order) if s in carriers])
     return len(mgr)
 
 
@@ -172,11 +171,6 @@ def build_layout(models, formula, k, orders=None) -> VarLayout:
     return layout
 
 
-def _bits(nbits, code):
-    """The values of the nbits state bits spelling code, least significant first."""
-    return tuple(code >> j & 1 for j in range(nbits))
-
-
 def _carriers(structure, ap):
     """The states of structure that carry ap; for @halt, its halt states."""
     if ap == HALT_AP:
@@ -196,8 +190,7 @@ def label_table(circ: Circuit, layout, var, ap) -> int:
     if ap != HALT_AP and ap not in structure.aps:
         raise EncodeError(f"proposition {ap!r} not declared for trace variable {var!r}")
     nbits = state_bit_count(len(structure.states))
-    rows = [_bits(nbits, layout.code(var, s)) for s in _carriers(structure, ap)]
-    return circ.table(range(nbits), rows)
+    return circ.table(range(nbits), [layout.code(var, s) for s in _carriers(structure, ap)])
 
 
 def label_gate(circ: Circuit, layout, var, step, ap) -> int:
@@ -219,17 +212,14 @@ def unroll_structure(structure, var, k, layout, circ: Circuit) -> int:
     codes that name no state.
 
     The transition table's offsets span one step from 0 and the next from
-    layout.stride, so one gate per step reads it.
+    layout.stride, so one gate per step reads it: a row is the source's
+    code OR the target's shifted by nbits.
     """
     nbits = state_bit_count(len(structure.states))
-
-    def bits(s):
-        return _bits(nbits, layout.code(var, s))
-
-    init = circ.table(range(nbits), [bits(structure.init)])
+    init = circ.table(range(nbits), [layout.code(var, structure.init)])
     step = circ.table(
         [*range(nbits), *range(layout.stride, layout.stride + nbits)],
-        [bits(s) + bits(d) for s, d in structure.trans],
+        [layout.code(var, s) | layout.code(var, d) << nbits for s, d in structure.trans],
     )
     parts = [circ.table_gate(init, layout.base(var, 0))]
     parts += [circ.table_gate(step, layout.base(var, i)) for i in range(k)]

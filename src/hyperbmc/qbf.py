@@ -143,8 +143,10 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     the offsets W at base b and the others of a table over W followed by
     W+d at the bases b, b+d, .., b+(m-1)d, is an unrolling as
     encoder.unroll_structure builds it: an initial state and m steps of a
-    transition relation. It is one BDD.paths call, which makes only the
-    nodes its result reaches, and its step gates are never built. Every
+    transition relation. It is one BDD.paths call on the tables' rows as
+    they stand (a step row's low |W| bits are its values on W), which
+    makes only the nodes its result reaches; its step gates are never
+    built. Every
     other AND and OR joins its operands. A table gate or an unrolling
     under a quantifier quantifies its plain BDD, so an unrolling that is
     itself the quantifier's stop (when the body folds to a constant) is

@@ -202,9 +202,15 @@ def truth_table(circuit, root, n):
             offsets, rows = circuit.tables[tid]
             columns = [variable_table(base + o, n) for o in offsets]
             table[m] = 0
-            for row in rows:
-                table[m] |= reduce(and_, (x if b else x ^ ones for x, b in zip(columns, row)), ones)
+            for row in rows:  # bit j of a row is its value at offsets[j]
+                literals = (x if row >> j & 1 else x ^ ones for j, x in enumerate(columns))
+                table[m] |= reduce(and_, literals, ones)
     return table[root]
+
+
+def row_code(values):
+    """The table row whose bit j is values[j]: random tables draw a row value by value."""
+    return sum(b << j for j, b in enumerate(values))
 
 
 def fold(table, n, blocks):

@@ -9,7 +9,7 @@ from hyperbmc.bdd import AND, BDD, FALSE, OR, TRUE, NodeCapError
 from hyperbmc.circuit import Circuit
 from hyperbmc.qbf import EXISTS, FORALL, ResourceLimitError, make_prenex, solve
 
-from conftest import bdd_nodes_since, bdd_table, bdd_value, fold, truth_table, variable_table
+from conftest import bdd_nodes_since, bdd_table, bdd_value, fold, row_code, truth_table, variable_table
 
 
 def rand_expr(rng, n, depth):
@@ -296,9 +296,9 @@ def rand_path_table(rng):
     w = rng.randint(1, 3)
     window = tuple(sorted(rng.sample(range(w + 2), w)))
     stride = window[-1] - window[0] + 1 + rng.randint(0, 2)
-    codes = list(product((0, 1), repeat=w))
+    codes = [row_code(t) for t in product((0, 1), repeat=w)]
     states = codes[:rng.randint(1, len(codes))]
-    step_rows = [s + t for s in states for t in codes if rng.random() < 0.4]
+    step_rows = [s | t << w for s in states for t in codes if rng.random() < 0.4]
     init_rows = rng.sample(codes, rng.randint(1, 2))
     return window, stride, init_rows, step_rows
 
@@ -324,5 +324,5 @@ def test_paths_is_the_fold_of_relocated_steps():
     assert empty >= 30
     # no step row starts from the initial code: no path of a step or more
     mgr = BDD()
-    assert mgr.paths((0, 2), [(1, 1)], [(0, 0, 1, 1), (0, 1, 1, 1)], 0, 3, 1) == FALSE
-    assert mgr.paths((0, 2), [(1, 1)], [(0, 0, 1, 1)], 0, 3, 0) == mgr.relation([0, 2], [(1, 1)])
+    assert mgr.paths((0, 2), [0b11], [0b1100, 0b1110], 0, 3, 1) == FALSE
+    assert mgr.paths((0, 2), [0b11], [0b1100], 0, 3, 0) == mgr.relation([0, 2], [0b11])

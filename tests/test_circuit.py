@@ -70,28 +70,45 @@ def test_table_gates_fold_and_intern():
     c = Circuit()
     assert c.table_gate(c.table((0, 1), []), 5) == FALSE
     assert c.table_gate(c.table((), []), 5) == FALSE
-    assert c.table_gate(c.table((), [()]), 5) == TRUE
+    assert c.table_gate(c.table((), [0]), 5) == TRUE
     # rows are a set: order and repeats do not make a new table
-    t = c.table((0, 1), [(1, 0), (0, 1)])
-    assert c.table((0, 1), [(0, 1), (1, 0), (0, 1)]) == t
-    assert c.table((0, 2), [(1, 0), (0, 1)]) != t
+    t = c.table((0, 1), [0b01, 0b10])
+    assert c.table((0, 1), [0b10, 0b01, 0b10]) == t
+    assert c.table((0, 2), [0b01, 0b10]) != t
     g = c.table_gate(t, 4)
     assert c.table_gate(t, 4) == g
     assert c.support(g) == {4, 5}
     assert c.table_gate(t, 6) != g
     # a table that is valid as a function is still a gate; it expands,
     # restricts and evaluates to true
-    valid = c.table_gate(c.table((0,), [(0,), (1,)]), 3)
+    valid = c.table_gate(c.table((0,), [0, 1]), 3)
     assert valid not in (TRUE, FALSE)
     assert c.expand(valid) == TRUE
     assert c.restrict(valid, 3, False) == c.restrict(valid, 3, True) == TRUE
     assert c.evaluate(valid, {3: False}) and c.evaluate(valid, {3: True})
 
 
+def test_expand_makes_row_ands_in_offset_order():
+    # rows 0b01 and 0b10 sort 1, 2 as ints but (0, 1), (1, 0) read from
+    # offsets[0] first: the literals come offset by offset, then the ANDs
+    # in the second order, which numbers the nodes emit_qcir writes
+    c = Circuit()
+    g = c.table_gate(c.table((0, 1), [0b01, 0b10]), 3)
+    before = len(c)
+    e = c.expand(g)
+    x, y = c.var(3), c.var(4)
+    nx, ny = c.not_(x), c.not_(y)
+    assert (x, nx, y, ny) == tuple(range(before, before + 4))
+    first, second = c.and_([nx, y]), c.and_([x, ny])  # rows 0b10, then 0b01
+    assert (first, second, e) == (before + 4, before + 5, before + 6)
+    assert c.payloads[e] == (first, second)
+    assert len(c) == before + 7
+
+
 def test_table_gate_evaluate_expand_and_restrict_agree():
     c = Circuit()
     # offset 0 true and offset 2 false, or offset 1 false
-    t = c.table((0, 1, 2), [r for r in itertools.product((0, 1), repeat=3) if r[0] and not r[2] or not r[1]])
+    t = c.table((0, 1, 2), [r for r in range(8) if r & 0b001 and not r & 0b100 or not r & 0b010])
     f = c.or_([c.and_([c.table_gate(t, 1), c.var(0)]), c.not_(c.table_gate(t, 2))])
     e = c.expand(c.table_gate(t, 1))
     assert e != c.table_gate(t, 1)

@@ -93,6 +93,25 @@ def test_check_emit_qcir(capsys, model_file, tmp_path):
     assert path.read_text().startswith("#QCIR-G14\n")
 
 
+@pytest.mark.parametrize("option", ["--witness", "--emit-qcir"])
+@pytest.mark.parametrize("target", ["missing/out.txt", "."])
+def test_bad_output_path_exits_64_before_solving(capsys, model_file, monkeypatch, tmp_path, option, target):
+    # a missing directory or a directory as the path once failed only when
+    # written: a witness after every bound had been solved, a QCIR file
+    # after the first bound had been encoded
+    from hyperbmc import driver, qbf
+
+    encoded, solved = [], []
+    monkeypatch.setattr(driver, "assemble_qbf", lambda *args, **kwargs: encoded.append(args))
+    monkeypatch.setattr(qbf, "solve", lambda *args, **kwargs: solved.append(args))
+    code, out, err = run(
+        capsys, "check", "--formula", "exists A. a[A]", "--model-default", model_file,
+        "-k", "1", option, str(tmp_path / target),
+    )
+    assert (code, out, encoded, solved) == (64, "", [], [])
+    assert err.startswith("error: ")
+
+
 def test_check_missing_model_is_config_error(capsys):
     code, _, err = run(capsys, "check", "--formula", "exists A. a[A]", "-k", "1")
     assert code >= 64

@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 
 from hyperbmc import hyperltl as hl
-from hyperbmc import oracle
+from hyperbmc import oracle, qbf
 from hyperbmc.driver import (
     FAILS,
     HOLDS,
@@ -138,6 +140,23 @@ def test_mixed_formula_unknown_at_kmax():
     v = check(cfg)
     assert v.interpretation == UNKNOWN
     assert v.k == 2
+
+
+def test_classic_sweep_solves_only_kmax(monkeypatch):
+    # no bound concludes under classic, so a sweep returns kMax's verdict:
+    # it solves that bound alone, and its Verdict, witness included, is the
+    # one of the check that starts at kMax
+    solved = []
+    monkeypatch.setattr(qbf, "solve", lambda q, _solve=qbf.solve: solved.append(q) or _solve(q))
+    f = parse_formula("exists A. forall B. F (a[A] & !a[B])")
+    cfg = CheckConfig(
+        formula=f, models={"A": AB_STATE, "B": CHAIN}, k_from=0, k_max=3,
+        semantics=oracle.CLASSIC,
+    )
+    v = check(cfg)
+    assert len(solved) == 1
+    assert (v.k, v.qbf_value, v.interpretation, v.witness_status) == (3, True, UNKNOWN, "verified")
+    assert v == check(dataclasses.replace(cfg, k_from=3))
 
 
 def test_halting_semantics_requires_halt_states():

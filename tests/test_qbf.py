@@ -21,7 +21,7 @@ from hyperbmc.qbf import (
     solve,
 )
 
-from conftest import COMPLETE_KR, bdd_nodes_since, bdd_table, check_result, naive_qbf, reference, truth_table
+from conftest import COMPLETE_KR, bdd_nodes_since, bdd_table, check_result, naive_qbf, reference, row_code, truth_table
 
 
 def simple_qbf(blocks_spec, build):
@@ -561,7 +561,7 @@ def rand_table_prenex(rng):
     tables = []
     for _ in range(rng.randint(1, 3)):
         offsets = sorted(rng.sample(range(3), rng.randint(1, 3)))
-        rows = [tuple(rng.randint(0, 1) for _ in offsets) for _ in range(rng.randint(1, 4))]
+        rows = [row_code(rng.randint(0, 1) for _ in offsets) for _ in range(rng.randint(1, 4))]
         tables.append(c.table(offsets, rows))
 
     def build(depth):
@@ -599,7 +599,7 @@ def test_table_bdds_survive_collection_after_every_gate(rng, monkeypatch):
 
     monkeypatch.setattr(bdd.BDD, "maybe_collect", always_collect)
     c = Circuit()
-    xnor = c.table((0, 1), [(0, 0), (1, 1)])  # offsets 0 and 1 agree
+    xnor = c.table((0, 1), [0b00, 0b11])  # offsets 0 and 1 agree
     gates = [c.table_gate(xnor, i) for i in range(9)]
     root = c.or_([c.and_(gates[:5]), c.and_([gates[5], gates[8], c.not_(gates[6])])])
     mgr = bdd.BDD()
@@ -685,10 +685,11 @@ def rand_chain(rng, c, lo):
     window = (0,) if w == 1 else (0, rng.randint(1, 2))
     d = window[-1] + 1 + rng.randint(0, 1)
     m = rng.randint(1, max(1, 4 // d))
-    codes = list(product((0, 1), repeat=w))
+    codes = [row_code(t) for t in product((0, 1), repeat=w)]
     states = codes[:rng.randint(1, len(codes))]
     init_rows = [rng.choice(states)]
-    step_rows = [s + t for s in states for t in states if rng.random() < 0.6] or [init_rows[0] * 2]
+    step_rows = [s | t << w for s in states for t in states if rng.random() < 0.6]
+    step_rows = step_rows or [init_rows[0] | init_rows[0] << w]
     allowed = ["off", "extra", "noinit"] + ["missing", "spacing"] * (m >= 2) + ["unequal"] * (w == 2)
     miss = rng.choice(allowed) if rng.random() < 0.5 else None
     second = [o + d for o in window]
