@@ -9,16 +9,16 @@ functions are: a BDD is FALSE or TRUE exactly when its handle is.
 
 Every operation is a loop over an explicit stack, so neither the number
 of variables nor the depth of a BDD meets the Python recursion limit.
-One copy loop relocates and negates: it remakes a BDD node for node,
-moving every level by a constant shift and each terminal to a given one,
-and the copy is reduced and ordered without any apply. relocate() moves
-a BDD onto variables a constant distance away, so a caller builds a
-function that repeats at every step once and relocates it to the other
-steps; not_() swaps the terminals. relation() builds a BDD as a trie of
-rows, each an int whose bits are its variables' values, as a state's
-code is. paths() builds the paths through a transition table, an initial
-relation AND every step's relation, from the same tries in one backward
-pass over the reachable states, without an apply.
+copy() is the one loop that relocates and negates: it remakes a BDD
+node for node, moving every level by a constant shift and swapping the
+terminals if asked, reduced and ordered without any apply. So a caller
+builds a function that repeats at every step once and copies it to the
+other steps, and the NOT of such a copy is one pass, not two.
+relation() builds a BDD as a trie of rows, each an int whose bits are
+its variables' values, as a state's code is. paths() builds the paths
+through a transition table, an initial relation AND every step's
+relation, from the same tries in one backward pass over the reachable
+states, without an apply.
 Dead nodes stay in the arena until collect(), a mark-compact pass from
 the roots a caller pins; it renumbers the survivors, so a caller runs it
 between operations, never inside one: run() is that point. node_cap
@@ -232,23 +232,17 @@ class BDD:
         leaves = {c: suffix[c] for c in init_rows if c in suffix}
         return self._trie([base + o for o in window], leaves).get(0, FALSE)
 
-    def relocate(self, f, shift):
-        """f with every level moved by `shift`: the same function of the shifted variables."""
-        return f if shift == 0 else self._copy(f, shift, FALSE, TRUE)
+    def copy(self, f, shift, negate):
+        """f remade node for node, every level moved by `shift` and negated if `negate`; else f.
 
-    def not_(self, f):
-        return self._copy(f, 0, TRUE, FALSE)
-
-    def _copy(self, f, shift, low, high):
-        """f remade node for node, every level moved by `shift`, FALSE sent to `low` and TRUE to `high`.
-
-        A constant shift keeps the order of the levels, and low != high
-        keeps every node's two children apart, so the copy is reduced and
-        ordered as it stands.
+        A constant shift keeps the order of the levels, and swapped
+        terminals stay apart, so the copy is reduced and ordered as it is.
         """
+        if not (shift or negate):
+            return f
         level, lo, hi, unique, bits = self.level, self.lo, self.hi, self._unique, self._shift
         cap = self.node_cap if self.node_cap is not None else 1 << bits
-        new = {FALSE: low, TRUE: high}
+        new = {FALSE: TRUE, TRUE: FALSE} if negate else {FALSE: FALSE, TRUE: TRUE}
         out = []
         todo = [(f, -1)]
         while todo:

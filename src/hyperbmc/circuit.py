@@ -49,6 +49,12 @@ class Circuit:
     def __len__(self):
         return len(self.kinds)
 
+    def copy(self):
+        """The same arena, grown on its own: nodes made in the copy are not made here."""
+        other = object.__new__(Circuit)
+        other.__dict__.update((name, value.copy()) for name, value in vars(self).items())
+        return other
+
     def _mk(self, kind, payload, mask):
         key = (kind, payload)
         n = self._intern.get(key)

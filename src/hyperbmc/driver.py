@@ -115,8 +115,8 @@ def _validate_config(cfg: CheckConfig):
             qbf.external_argv(cfg.solver)
         except qbf.QbfError as e:
             raise ConfigError(str(e)) from None
-        if cfg.solver_timeout is not None and not 0 <= cfg.solver_timeout < math.inf:
-            raise ConfigError(f"solver timeout {cfg.solver_timeout} is not a finite nonnegative number")
+    if cfg.solver_timeout is not None and not 0 <= cfg.solver_timeout < math.inf:
+        raise ConfigError(f"solver timeout {cfg.solver_timeout} is not a finite nonnegative number")
     for _, var in cfg.formula.prefix:
         if var not in cfg.models:
             raise ConfigError(f"no model assigned to trace variable {var!r}")

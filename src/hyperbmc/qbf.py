@@ -125,19 +125,23 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     Each node has a shape: the node up to a constant shift of its
     variables, with an offset. A variable's shape is its kind at offset
     its id; a table gate's is its table at offset its base; a NOT's is its
-    child's shape under NOT, at the child's offset; an AND/OR gate's offset
-    is its least child offset, and its shape is its kind with the set of
-    (child shape, child offset - own offset) pairs. Nodes of one shape are
-    the same function shifted by the difference of their offsets. So only
-    the first gate of each shape that is built without a quantifier is
-    built from its children (a table gate by BDD.relation over its
-    offsets shifted by its base); every later one relocates that BDD
-    (BDD.relocate), the current/next renaming of symbolic model checking
-    applied to any gate. Two traces of one model unroll it into one
-    shape, and each step of the body repeats the shapes of the last.
-    A copy lists the first gate as its only child, so that BDD lives
-    until its last copy is made, and no shape equals a descendant's, so
-    the first is built before its copies.
+    child's shape negated (~), at the child's offset; an AND/OR gate's
+    offset is its least child offset, and its shape is its kind with the
+    set of (child shape, child offset - own offset) pairs. Nodes of one
+    shape are the same function shifted by the difference of their
+    offsets. So only the first gate of each shape that is built without a
+    quantifier is built from its children (a table gate by BDD.relation
+    over its offsets shifted by its base); every later one copies that BDD
+    moved by that difference (BDD.copy), the current/next renaming of
+    symbolic model checking applied to any gate. A NOT copies the first
+    node of its child's shape, moved and negated in one pass (its child
+    becomes that node if there is none yet), so a ∀ trace's guard is one
+    negated copy of an outer trace's unrolling over the same model; under
+    a quantifier it is the unmoved negated copy of its child under the
+    dual one. Two traces of one model unroll it into one shape, and each
+    step of the body repeats the shapes of the last. A copy lists what it
+    copies as its only child, so that BDD lives until its last copy is
+    made, and no shape equals a descendant's, so it is built first.
 
     An AND gate whose operands are all table gates, one of a table over
     the offsets W at base b and the others of a table over W followed by
@@ -146,11 +150,10 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     transition relation. It is one BDD.paths call on the tables' rows as
     they stand (a step row's low |W| bits are its values on W), which
     makes only the nodes its result reaches; its step gates are never
-    built. Every
-    other AND and OR joins its operands. A table gate or an unrolling
-    under a quantifier quantifies its plain BDD, so an unrolling that is
-    itself the quantifier's stop (when the body folds to a constant) is
-    not joined from its gates either.
+    built. Every other AND and OR joins its operands. A variable, a table
+    gate or an unrolling under a quantifier quantifies its plain BDD, so
+    an unrolling that is itself the quantifier's stop (when the body folds
+    to a constant) is not joined from its gates either.
 
     Shapes take one pass over the arena in id order (children first).
     The circuit is then walked twice without recursion: once to list each
@@ -226,7 +229,8 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         elif k == ct.K_TABLE:
             s, off[n] = (k, p[0]), p[1]
         elif k == ct.K_NOT:
-            s, off[n] = (k, shape[p]), off[p]
+            shape[n], off[n] = ~shape[p], off[p]
+            continue
         else:
             o = off[n] = min(off[c] for c in p)
             s = (k, *sorted((shape[c], off[c] - o) for c in p))
@@ -235,8 +239,8 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     kids = {}
     stops = {}  # stop's key -> stop_operands of its node
     chains = {}  # an unrolling's key -> its path_set
-    first = {}  # shape -> its first PLAIN gate key, which later ones relocate
-    moved = {}  # key of a relocated copy -> its shift from the first key
+    first = {}  # shape -> the key of its first PLAIN node, which later ones copy
+    moved = {}  # key of a copy -> (its shift from the copied key, whether it negates)
     order = []
     stack = [(key_of(root, quant), False)]
     while stack:
@@ -248,17 +252,16 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
             continue
         n, mode = divmod(key, 3)
         k = kinds[n]
-        if mode == _PLAIN and k in (ct.K_NOT, ct.K_AND, ct.K_OR, ct.K_TABLE):
-            origin = first.setdefault(shape[n], key)
-            if origin != key:
-                moved[key] = off[n] - off[origin // 3]
-                kids[key] = (origin,)
-                order.append(key)
-                continue
-        if mode != _PLAIN and (k == ct.K_TABLE or k == ct.K_AND and path_set(n)):
-            ks = (3 * n,)
+        m = payloads[n] if k == ct.K_NOT else n  # the node whose shape a copy shares
+        if (mode == _PLAIN and k in (ct.K_NOT, ct.K_AND, ct.K_OR, ct.K_TABLE)
+                and (origin := first.setdefault(shape[m], 3 * m)) != key):
+            moved[key] = (off[n] - off[origin // 3], k == ct.K_NOT)
+            ks = (origin,)
         elif k == ct.K_NOT:
-            ks = (key_of(payloads[n], flip[mode]),)
+            moved[key] = (0, True)
+            ks = (key_of(m, flip[mode]),)
+        elif mode != _PLAIN and (k in (ct.K_VAR, ct.K_TABLE) or k == ct.K_AND and path_set(n)):
+            ks = (3 * n,)
         elif k in (ct.K_AND, ct.K_OR) and mode == (_FORALL if k == ct.K_AND else _EXISTS):
             ks = tuple(key_of(c, mode) for c in payloads[n])
         elif k == ct.K_AND and mode == _PLAIN and (chain := path_set(n)):
@@ -283,18 +286,14 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         k = kinds[n]
         ks = kids[key]
         if key in moved:
-            return mgr.relocate(memo[ks[0]], moved[key])
-        if mode != _PLAIN and ks == (3 * n,):  # a table gate or an unrolling, built whole
+            return mgr.copy(memo[ks[0]], *moved[key])
+        if mode != _PLAIN and ks == (3 * n,):  # a variable, a table gate or an unrolling, built whole
             eliminate = mgr.exists if mode == _EXISTS else mgr.forall
             return eliminate(memo[ks[0]], variables)
         if k == ct.K_CONST:
             return n
         if k == ct.K_VAR:
-            if mode == _PLAIN:
-                return mgr.var(payloads[n])
-            return bdd.TRUE if mode == _EXISTS else bdd.FALSE
-        if k == ct.K_NOT:
-            return mgr.not_(memo[ks[0]])
+            return mgr.var(payloads[n])
         if key in chains:
             return mgr.paths(*chains[key])
         if k == ct.K_TABLE:
@@ -403,10 +402,10 @@ def emit_qcir(q: PrenexQBF) -> str:
     """Render as a QCIR-G14 document; byte-deterministic for a given input.
 
     A table gate is written as its expansion into AND/OR gates (see
-    Circuit.expand), which this adds to the circuit; an expansion that
-    folds to a constant becomes an empty gate.
+    Circuit.expand), made in a copy of q.circuit, which does not grow; an
+    expansion that folds to a constant becomes an empty gate.
     """
-    circ = q.circuit
+    circ = q.circuit.copy()
     names = _emit_names(q)
     gate_no = {}
     order = []

@@ -35,7 +35,7 @@ def build(mgr, e):
     if e[0] == "var":
         return mgr.var(e[1])
     if e[0] == "not":
-        return mgr.not_(build(mgr, e[1]))
+        return mgr.copy(build(mgr, e[1]), 0, True)
     return mgr.apply(AND if e[0] == "and" else OR, build(mgr, e[1]), build(mgr, e[2]))
 
 
@@ -59,11 +59,11 @@ def test_operations_match_truth_tables():
 def test_canonical_and_collect_keeps_pinned_functions():
     mgr = BDD()
     x, y = mgr.var(0), mgr.var(1)
-    nx, ny = mgr.not_(x), mgr.not_(y)
+    nx, ny = mgr.copy(x, 0, True), mgr.copy(y, 0, True)
     f = mgr.apply(OR, mgr.apply(AND, x, y), mgr.apply(AND, nx, ny))
-    g = mgr.not_(mgr.apply(OR, mgr.apply(AND, x, ny), mgr.apply(AND, nx, y)))
+    g = mgr.copy(mgr.apply(OR, mgr.apply(AND, x, ny), mgr.apply(AND, nx, y)), 0, True)
     assert f == g  # equal functions share one handle
-    assert mgr.apply(OR, f, mgr.not_(f)) == TRUE
+    assert mgr.apply(OR, f, mgr.copy(f, 0, True)) == TRUE
     mgr.apply(AND, mgr.var(5), mgr.var(7))  # garbage
     before = len(mgr)
     pinned = {"f": f}
@@ -128,7 +128,7 @@ def test_join_is_independent_of_operand_order():
         n = rng.randint(2, 7)
         operands = [build(mgr, rand_expr(rng, n, 3)) for _ in range(rng.randint(1, 5))]
         literals = [mgr.var(rng.randrange(n)) for _ in range(rng.randint(0, 3))]
-        operands += [mgr.not_(x) if rng.random() < 0.5 else x for x in literals]
+        operands += [mgr.copy(x, 0, True) if rng.random() < 0.5 else x for x in literals]
         for op in (AND, OR):
             folded = TRUE if op == AND else FALSE
             for f in operands:
@@ -150,7 +150,7 @@ def test_join_of_literals_adds_one_node_per_literal():
         literals, tables = [], []
         for v in rng.sample(range(width), n):
             negated = rng.random() < 0.5
-            literals.append(mgr.not_(mgr.var(v)) if negated else mgr.var(v))
+            literals.append(mgr.copy(mgr.var(v), 0, True) if negated else mgr.var(v))
             tables.append(variable_table(v, width) ^ (ones if negated else 0))
         rng.shuffle(literals)
         for op, fold_op, unit in ((AND, and_, ones), (OR, or_, 0)):
@@ -168,10 +168,10 @@ def test_relocate_matches_direct_build_across_collect():
         e = rand_expr(rng, n, 4)
         pinned = {"f": build(mgr, e)}
         for d in (0, 3, rng.randint(1, 40)):
-            assert mgr.relocate(pinned["f"], d) == build(mgr, shifted(e, d))
+            assert mgr.copy(pinned["f"], d, False) == build(mgr, shifted(e, d))
             mgr.apply(AND, mgr.var(60), mgr.var(61))  # garbage for the collection
             mgr.collect(pinned)
-            g = mgr.relocate(pinned["f"], d)
+            g = mgr.copy(pinned["f"], d, False)
             t = truth(e, n)
             for a in range(1 << n):
                 assert bdd_value(mgr, g, {v + d: a >> v & 1 for v in range(n)}) == bool(t >> a & 1)
@@ -204,8 +204,8 @@ def test_compile_keeps_shapes_across_collections(monkeypatch):
 
 
 def test_negation_and_relocation_commute_across_collect():
-    # not_ and relocate are one copy loop: one swaps the terminals, the
-    # other shifts the levels, and the two commute
+    # a copy swaps the terminals, shifts the levels, or both in one pass,
+    # and negation and shifting commute
     rng = random.Random(17)
     mgr = BDD()
     for _ in range(60):
@@ -213,14 +213,17 @@ def test_negation_and_relocation_commute_across_collect():
         e = rand_expr(rng, n, 4)
         f = build(mgr, e)
         d = rng.randint(1, 30)
-        pinned = {"f": f, "nf": mgr.not_(f), "moved": mgr.relocate(f, d)}
-        assert mgr.not_(pinned["moved"]) == mgr.relocate(pinned["nf"], d)
-        assert mgr.not_(pinned["nf"]) == f
+        pinned = {"f": f, "nf": mgr.copy(f, 0, True), "moved": mgr.copy(f, d, False)}
+        assert mgr.copy(pinned["moved"], 0, True) == mgr.copy(pinned["nf"], d, False)
+        assert mgr.copy(f, d, True) == mgr.copy(pinned["nf"], d, False)
+        assert mgr.copy(pinned["nf"], 0, True) == f
+        assert mgr.copy(f, 0, False) == f
         mgr.apply(AND, mgr.var(60), mgr.var(61))  # garbage for the collection
         mgr.collect(pinned)
-        assert mgr.not_(pinned["moved"]) == mgr.relocate(pinned["nf"], d)
-        assert mgr.not_(pinned["nf"]) == pinned["f"]
-        assert mgr.not_(pinned["f"]) == pinned["nf"]
+        assert mgr.copy(pinned["moved"], 0, True) == mgr.copy(pinned["nf"], d, False)
+        assert mgr.copy(pinned["nf"], 0, True) == pinned["f"]
+        assert mgr.copy(pinned["f"], 0, True) == pinned["nf"]
+        assert mgr.copy(pinned["f"], d, True) == mgr.copy(pinned["moved"], 0, True)
         assert bdd_table(mgr, pinned["nf"], n) == truth(("not", e), n)
 
 
@@ -231,7 +234,7 @@ def test_not_raises_node_cap_error_at_the_cap():
     f = mgr.join(AND, [mgr.var(v) for v in range(10)])
     assert len(mgr) == 21
     with pytest.raises(NodeCapError) as e:
-        mgr.not_(f)
+        mgr.copy(f, 0, True)
     assert e.value.nodes == 21
 
 
@@ -244,7 +247,7 @@ def test_run_collects_and_retries_once_at_the_cap():
     pinned = {"f": mgr.join(AND, [mgr.var(v) for v in range(10)])}
     before = pinned["f"]
     assert len(mgr) == 40
-    f = mgr.run(pinned, lambda d: mgr.relocate(pinned["f"], d), 10)
+    f = mgr.run(pinned, lambda d: mgr.copy(pinned["f"], d, False), 10)
     assert len(mgr) == 22
     assert pinned["f"] < before
     assert mgr.path(pinned["f"], TRUE) == dict.fromkeys(range(10), True)
@@ -253,7 +256,7 @@ def test_run_collects_and_retries_once_at_the_cap():
     mgr = BDD(node_cap=21)
     pinned = {"f": mgr.join(AND, [mgr.var(v) for v in range(10)])}
     with pytest.raises(NodeCapError) as e:
-        mgr.run(pinned, lambda: mgr.relocate(pinned["f"], 10))
+        mgr.run(pinned, lambda: mgr.copy(pinned["f"], 10, False))
     assert e.value.nodes == 21
     assert len(mgr) == 21  # collected to 12 live nodes, then grown to the cap
 
@@ -319,7 +322,7 @@ def test_paths_is_the_fold_of_relocated_steps():
         assert len(mgr) - before == len(bdd_nodes_since(mgr, f, before))
         init = mgr.relation([base + o for o in window], init_rows)
         step = mgr.relation([base + o for o in window] + [base + stride + o for o in window], step_rows)
-        assert f == mgr.join(AND, [init, *(mgr.relocate(step, i * stride) for i in range(steps))])
+        assert f == mgr.join(AND, [init, *(mgr.copy(step, i * stride, False) for i in range(steps))])
         empty += f == FALSE
     assert empty >= 30
     # no step row starts from the initial code: no path of a step or more

@@ -261,6 +261,8 @@ def test_stray_lookup_error_is_internal(capsys, model_file, monkeypatch):
         (["--solver", "external:quabs {file}", "--timeout", "-1"], ""),
         (["--solver", "external:quabs {file}", "--timeout", "nan"], ""),
         (["--solver", "external:{file} -v"], ""),  # would run the QCIR file
+        (["--timeout", "-1"], ""),  # the builtin solver once let these pass
+        (["--timeout", "nan"], ""),
     ],
 )
 def test_bad_solver_options_are_data_errors(capsys, model_file, monkeypatch, options, solver_env):

@@ -514,8 +514,8 @@ def test_node_counts_in_declaration_and_chosen_order(monkeypatch):
     want = {
         "nonrep-incorrect": (43_377, 19_564),
         "nonrep-correct": (45_956, 18_987),
-        "bakery2": (5_288, 3_366),
-        "grid10": (18_517, 18_517),
+        "bakery2": (4_970, 3_069),
+        "grid10": (12_734, 12_734),
     }
     got = {}
     for name in want:

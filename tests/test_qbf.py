@@ -585,6 +585,36 @@ def test_table_gates_agree_with_naive_evaluator(rng):
         assert solve(parse_qcir(emit_qcir(q))).value == r.value
 
 
+def test_emit_qcir_leaves_the_circuit_and_the_solve_alone(monkeypatch):
+    # emit_qcir expands every table gate, but into a copy of the circuit:
+    # the caller's circuit does not grow, so a solve after it walks and
+    # builds what a solve before it does
+    from hyperbmc import bdd, oracle
+    from hyperbmc.encoder import assemble_qbf
+    from hyperbmc.hyperltl import normalize, parse_formula
+    from hyperbmc.models import builtin_spec, gen_grid
+
+    grid = gen_grid(4, 4, {(0, 1), (1, 1), (2, 1)}, [(0, 0)], {(0, 3)})
+    formula = normalize(parse_formula(builtin_spec("shortest_path").formula))
+    q = assemble_qbf(formula, {v: grid for _, v in formula.prefix}, 6, oracle.CLASSIC)
+    managers = []
+    init = bdd.BDD.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        managers.append(self)
+
+    monkeypatch.setattr(bdd.BDD, "__init__", recorded)
+    size = len(q.circuit)
+    before = solve(q)
+    text = emit_qcir(q)
+    assert len(q.circuit) == size
+    assert solve(q) == before
+    assert len(managers[1]) == len(managers[0])
+    assert emit_qcir(q) == text
+    assert solve(parse_qcir(text)).value == before.value
+
+
 def test_table_bdds_survive_collection_after_every_gate(rng, monkeypatch):
     # every gate is followed by a collection, which renumbers the arena;
     # each table's BDD must stay pinned and be relocated under its new handle
@@ -625,10 +655,13 @@ def _support(mgr, f):
 def test_unrolling_joined_once_per_model(monkeypatch):
     # Both traces unroll one model, so their unrollings are one shape: the
     # first is built by one BDD.paths call over its k step gates, which
-    # makes only nodes its result reaches, and the other is relocated.
+    # makes only nodes its result reaches, and the other is a copy of it.
     # Neither is a join of its k+1 table gates. The inner one stays one
     # operand at the quantifier's stop, so its gates are not joined there
-    # as the product's guard either.
+    # as the product's guard either. Where the inner trace is universal
+    # and only its guard, the NOT of its unrolling, is read (shortest
+    # path), that guard is one negated copy of the outer unrolling, and no
+    # un-negated copy is made.
     from hyperbmc import bdd, oracle
     from hyperbmc.encoder import assemble_qbf
     from hyperbmc.hyperltl import negate, normalize, parse_formula
@@ -638,34 +671,35 @@ def test_unrolling_joined_once_per_model(monkeypatch):
     shortest = normalize(parse_formula(builtin_spec("shortest_path").formula))
     cases = [
         (negate(parse_formula(builtin_spec("fair_nonrepudiation").formula)),
-         gen_nonrepudiation("incorrect"), 3, oracle.HPES),
-        (shortest, grid, 6, oracle.CLASSIC),
-        (shortest, gen_grid(*parse_grid_map(PAPER_GRID_10)), 20, oracle.CLASSIC),
+         gen_nonrepudiation("incorrect"), 3, oracle.HPES, 1),
+        (shortest, grid, 6, oracle.CLASSIC, 0),
+        (shortest, gen_grid(*parse_grid_map(PAPER_GRID_10)), 20, oracle.CLASSIC, 0),
     ]
-    # calls whose result is over one whole block; the wrappers read the
-    # current case's k and blocks
-    whole = {"paths": 0, "relocate": 0, "join": 0}
-    for name in whole:
+    # calls whose result is over one whole block, copies by polarity; the
+    # wrappers read the current case's k and blocks
+    whole = {}
+    for name in ("paths", "copy", "join"):
         method = getattr(bdd.BDD, name)
 
         def counted(self, *args, _method=method, _name=name):
             before = len(self)
             r = _method(self, *args)
             if (_name != "join" or len(args[1]) == k + 1) and _support(self, r) in blocks:
-                whole[_name] += 1
+                tag = "negated copy" if _name == "copy" and args[2] else _name
+                whole[tag] += 1
             if _name == "paths":
                 assert args[-1] == k
                 assert len(self) - before == len(bdd_nodes_since(self, r, before)) > 0
             return r
 
         monkeypatch.setattr(bdd.BDD, name, counted)
-    for formula, structure, k, sem in cases:
+    for formula, structure, k, sem, copies in cases:
         q = assemble_qbf(formula, {v: structure for _, v in formula.prefix}, k, sem)
         blocks = [frozenset(vs) for _, vs in q.blocks]
         assert len(blocks) == 2
-        whole.update(paths=0, relocate=0, join=0)
+        whole.update(dict.fromkeys(["paths", "copy", "negated copy", "join"], 0))
         solve(q)
-        assert whole == {"paths": 1, "relocate": 1, "join": 0}
+        assert whole == {"paths": 1, "copy": copies, "negated copy": 1, "join": 0}
 
 
 def rand_chain(rng, c, lo):
@@ -817,14 +851,21 @@ def test_shifted_copies_agree_with_naive_evaluator(rng, monkeypatch):
     from hyperbmc import bdd
     from hyperbmc.qbf import _compile
 
-    calls = _count_calls(monkeypatch, "relocate")
-    relocations = 0
+    shifted = [0]
+    copy = bdd.BDD.copy
+
+    def counted(self, f, shift, negate):
+        shifted[0] += shift != 0
+        return copy(self, f, shift, negate)
+
+    monkeypatch.setattr(bdd.BDD, "copy", counted)
+    copies = 0
     for i in range(300):
         q = rand_shifted_prenex(rng)
         c = q.circuit
-        calls[0] = 0
+        shifted[0] = 0
         r = solve(q)
-        relocations += calls[0]
+        copies += shifted[0]
         check_result(q, r)
         if i % 10:
             continue
@@ -832,8 +873,9 @@ def test_shifted_copies_agree_with_naive_evaluator(rng, monkeypatch):
         f = _compile(c, mgr, q.matrix)
         n = max(v for _, vs in q.blocks for v in vs) + 1
         assert bdd_table(mgr, f, n) == truth_table(c, q.matrix, n)
-    # the circuits have no table gates: every relocation is a shifted copy
-    assert relocations >= 300
+    # the circuits have no table gates: every copy with a shift, negated
+    # or not, is of a repeated subcircuit
+    assert copies >= 300
 
 
 _HASH_PROBE = """
@@ -841,11 +883,11 @@ from hyperbmc import bdd, encoder, oracle, qbf
 from hyperbmc.hyperltl import negate, parse_formula
 from hyperbmc.models import builtin_spec, gen_nonrepudiation
 
-arena, relocate = [], bdd.BDD.relocate
-def counted(self, f, shift):
+arena, copy = [], bdd.BDD.copy
+def counted(self, f, shift, negate):
     arena.append(len(self))
-    return relocate(self, f, shift)
-bdd.BDD.relocate = counted
+    return copy(self, f, shift, negate)
+bdd.BDD.copy = counted
 formula = negate(parse_formula(builtin_spec("fair_nonrepudiation").formula))
 structure = gen_nonrepudiation("incorrect")
 q = encoder.assemble_qbf(formula, {v: structure for _, v in formula.prefix}, 5, oracle.HPES)
@@ -854,8 +896,8 @@ print(qbf.solve(q).value, len(arena), arena)
 
 
 def test_relocations_do_not_depend_on_hashing():
-    # the same solve relocates as often, at the same arena sizes, under
-    # any string hash seed
+    # the same solve copies as often, at the same arena sizes, under any
+    # string hash seed
     import os
     import subprocess
 
