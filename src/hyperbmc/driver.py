@@ -8,6 +8,16 @@ Under classic no bound is conclusive, so only kMax is solved.
 With negate-first workflows the verdict then maps back to the original
 formula, turning an established negation into a refutation with a
 counterexample and vice versa.
+
+Under pes, opt, hpes and hopt (but not paper_literal under hpes/hopt) a
+conclusive bound stays conclusive at every larger bound, so an
+inconclusive kMax settles the sweep. The sweep pays a rent of k+1 for
+each bound k it solves; once the rent reaches kMax+1, it solves kMax
+once before its next bound (ski rental: rent until the rent paid equals
+the price of buying). An inconclusive probe is the verdict; a conclusive
+one is kept, the sweep goes on, and the probe is reported only if no
+bound below kMax concludes. So at most one extra kMax solve is lost, and
+never more than the bounds already solved cost.
 """
 
 import math
@@ -64,6 +74,16 @@ class Verdict:
     # oracle; "unverified": the solver found one, but the oracle's explosion
     # guard stopped the re-check, so `witness` is None; None: no witness.
     witness_status: str | None = None
+
+
+@dataclass
+class _Bound:
+    """One solved bound: what _report needs to decode and interpret it."""
+
+    k: int
+    layout: object  # encoder.VarLayout
+    q: qbf.PrenexQBF
+    result: qbf.SolveResult
 
 
 def interpret(qbf_value: bool, sem: str) -> str:
@@ -153,86 +173,124 @@ def prepare(cfg: CheckConfig) -> hl.HyperFormula:
     return checked
 
 
+def _solve_bound(cfg: CheckConfig, checked, orders, k: int) -> _Bound:
+    """Lay out, encode, emit and solve one bound."""
+    layout = build_layout(cfg.models, checked, k, orders)
+    q = assemble_qbf(checked, cfg.models, k, cfg.semantics, cfg.paper_literal, layout)
+    _emit(cfg, q)
+    if cfg.solver == "builtin":
+        result = qbf.solve(q)
+    else:
+        result = qbf.run_external(cfg.solver, q, timeout=cfg.solver_timeout)
+    return _Bound(k, layout, q, result)
+
+
+def _emit(cfg: CheckConfig, q):
+    if cfg.emit_qcir_path:
+        with open(cfg.emit_qcir_path, "w") as fh:
+            fh.write(qbf.emit_qcir(q))
+
+
+def _report(cfg: CheckConfig, checked, hint: str, bound: _Bound) -> Verdict:
+    """Decode and re-check one solved bound's witness, and interpret its value."""
+    k, layout, result = bound.k, bound.layout, bound.result
+    witness = None
+    witness_status = None
+    outer_quant = checked.prefix[0][0] if checked.prefix else None
+    # The builtin solver assigns the outer block whenever the outer
+    # quantifier's choice decides the value. A trace with a one-state
+    # model has an empty block, which make_prenex drops; its single path
+    # is then the choice, so decode from an empty assignment.
+    if cfg.solver == "builtin" and outer_quant and result.value == (outer_quant == hl.EXISTS):
+        n_outer = 0
+        for q_, _ in checked.prefix:
+            if q_ != outer_quant:
+                break
+            n_outer += 1
+        traces = {}
+        for _, var in checked.prefix[:n_outer]:
+            traces[var] = extract_witness(result.outer_witness or {}, layout, var, cfg.models[var])
+        try:
+            confirmed = oracle.verify_witness(
+                traces, cfg.models, checked, k, cfg.semantics, cfg.paper_literal
+            )
+        except oracle.ExplosionGuardError:
+            # Too many residual prefixes to re-check; the decoded paths are
+            # still structure-valid, but an unverified witness is never
+            # reported, only its status.
+            traces = None
+            if outer_quant == hl.EXISTS:
+                witness_status = "unverified"
+        else:
+            # An existential witness must make the rest true (value TRUE),
+            # a universal countermodel must make it false (value FALSE);
+            # either way the substituted residual must equal the value.
+            expected = result.value
+            if confirmed is not expected:
+                raise InvalidWitnessError(
+                    "solver witness failed independent re-verification "
+                    f"(bound {k}, value {result.value})"
+                )
+        if traces is not None and outer_quant == hl.EXISTS:
+            witness = traces
+            witness_status = "verified"
+
+    interpretation = interpret(result.value, cfg.semantics)
+    return Verdict(
+        k=k,
+        qbf_value=result.value,
+        interpretation=_flip(interpretation) if cfg.negate_first else interpretation,
+        witness=witness,
+        fragment_hint=hint,
+        checked_negation=cfg.negate_first,
+        witness_status=witness_status,
+    )
+
+
 def check(cfg: CheckConfig) -> Verdict:
     """Run the bounded check loop and return the first conclusive verdict.
 
+    The verdict is the one of a plain sweep: the least conclusive bound in
+    kFrom..kMax, else kMax's. Under the monotone semantics the sweep may
+    solve kMax once, early (see the module docstring); that probe is
+    reported only where the sweep would report kMax, and a probe that
+    hits a limit is not known, so the sweep goes on without it.
+
     Any reported witness has been re-verified against the brute-force
     evaluator first; a failed re-verification raises InvalidWitnessError
-    instead of reporting, since it can only mean an internal bug.
+    instead of reporting, since it can only mean an internal bug. Every
+    bound solved in sweep order is re-checked this way, the probe only
+    when it is reported.
     """
     checked = prepare(cfg)
     hint = hl.classify_fragment(checked)
 
     orders = state_orders(cfg.models, checked)
-    verdict = None
-    for k in range(cfg.k_max if cfg.semantics == oracle.CLASSIC else cfg.k_from, cfg.k_max + 1):
-        layout = build_layout(cfg.models, checked, k, orders)
-        q = assemble_qbf(checked, cfg.models, k, cfg.semantics, cfg.paper_literal, layout)
-        if cfg.emit_qcir_path:
-            with open(cfg.emit_qcir_path, "w") as fh:
-                fh.write(qbf.emit_qcir(q))
-        if cfg.solver == "builtin":
-            result = qbf.solve(q)
-        else:
-            result = qbf.run_external(cfg.solver, q, timeout=cfg.solver_timeout)
-
-        witness = None
-        witness_status = None
-        outer_quant = checked.prefix[0][0] if checked.prefix else None
-        # The builtin solver assigns the outer block whenever the outer
-        # quantifier's choice decides the value. A trace with a one-state
-        # model has an empty block, which make_prenex drops; its single path
-        # is then the choice, so decode from an empty assignment.
-        if cfg.solver == "builtin" and outer_quant and result.value == (outer_quant == hl.EXISTS):
-            n_outer = 0
-            for q_, _ in checked.prefix:
-                if q_ != outer_quant:
-                    break
-                n_outer += 1
-            traces = {}
-            for _, var in checked.prefix[:n_outer]:
-                traces[var] = extract_witness(
-                    result.outer_witness or {}, layout, var, cfg.models[var]
-                )
+    probe = cfg.semantics != oracle.CLASSIC and not (
+        cfg.paper_literal and cfg.semantics in (oracle.HPES, oracle.HOPT)
+    )
+    rent = 0  # bounds k solved in sweep order, each costing k+1
+    kept = None  # the probe's solved kMax, while it is conclusive
+    for k in range(cfg.k_max if cfg.semantics == oracle.CLASSIC else cfg.k_from, cfg.k_max):
+        if probe and rent >= cfg.k_max + 1:
+            probe = False
             try:
-                confirmed = oracle.verify_witness(
-                    traces, cfg.models, checked, k, cfg.semantics, cfg.paper_literal
-                )
-            except oracle.ExplosionGuardError:
-                # Too many residual prefixes to re-check; the decoded paths are
-                # still structure-valid, but an unverified witness is never
-                # reported, only its status.
-                traces = None
-                if outer_quant == hl.EXISTS:
-                    witness_status = "unverified"
+                kept = _solve_bound(cfg, checked, orders, cfg.k_max)
+            except (qbf.QbfError, MemoryError):
+                pass  # not known; kMax is solved again if the sweep gets there
             else:
-                # An existential witness must make the rest true (value TRUE),
-                # a universal countermodel must make it false (value FALSE);
-                # either way the substituted residual must equal the value.
-                expected = result.value
-                if confirmed is not expected:
-                    raise InvalidWitnessError(
-                        "solver witness failed independent re-verification "
-                        f"(bound {k}, value {result.value})"
-                    )
-            if traces is not None and outer_quant == hl.EXISTS:
-                witness = traces
-                witness_status = "verified"
-
-        interpretation = interpret(result.value, cfg.semantics)
-        reported = _flip(interpretation) if cfg.negate_first else interpretation
-        verdict = Verdict(
-            k=k,
-            qbf_value=result.value,
-            interpretation=reported,
-            witness=witness,
-            fragment_hint=hint,
-            checked_negation=cfg.negate_first,
-            witness_status=witness_status,
-        )
-        if reported != UNKNOWN:
+                if interpret(kept.result.value, cfg.semantics) == UNKNOWN:
+                    # monotone: no bound below kMax concludes either
+                    return _report(cfg, checked, hint, kept)
+        rent += k + 1
+        verdict = _report(cfg, checked, hint, _solve_bound(cfg, checked, orders, k))
+        if verdict.interpretation != UNKNOWN:
             return verdict
-    return verdict
+    if kept is None:
+        kept = _solve_bound(cfg, checked, orders, cfg.k_max)
+    else:
+        _emit(cfg, kept.q)  # the sweep's bounds since the probe overwrote its document
+    return _report(cfg, checked, hint, kept)
 
 
 def resolve_solver(flag: str | None) -> str:

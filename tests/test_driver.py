@@ -1,9 +1,10 @@
 import dataclasses
+import random
 
 import pytest
 
+from hyperbmc import driver, oracle, qbf
 from hyperbmc import hyperltl as hl
-from hyperbmc import oracle, qbf
 from hyperbmc.driver import (
     FAILS,
     HOLDS,
@@ -20,9 +21,10 @@ from hyperbmc.driver import (
 from hyperbmc.encoder import assemble_qbf, build_layout
 from hyperbmc.hyperltl import normalize, parse_formula
 from hyperbmc.kripke import enumerate_prefixes, parse_kripke
+from hyperbmc.models import builtin_spec, gen_bakery, gen_nonrepudiation
 from hyperbmc.qbf import solve
 
-from conftest import halt_depth, rand_acyclic_halting, rand_body
+from conftest import COMPLETE_KR, halt_depth, rand_acyclic_halting, rand_body, rand_instance
 
 AB_STATE = parse_kripke("ap a b; states s0; init s0; label s0 {a}; trans s0 -> s0;")
 CHAIN = parse_kripke(
@@ -385,3 +387,178 @@ def test_three_block_alternation():
     assert v.witness is not None and set(v.witness) == {"A"}
     want = oracle.check_bounded({"A": k, "B": k, "C": k}, normalize(f), 1, oracle.PES)
     assert want is True
+
+
+# -- the bound loop's probe at kMax --------------------------------------------
+
+COMPLETE = parse_kripke(COMPLETE_KR)
+AE = parse_formula("forall A. exists B. G (a[A] <-> a[B])")
+# a holds only at s5, reached at step 5: `exists A. F a[A]` concludes at k=6
+LATE_A = parse_kripke(
+    "ap a; states s0 s1 s2 s3 s4 s5; init s0; label s0 {}; label s1 {}; label s2 {}; "
+    "label s3 {}; label s4 {}; label s5 {a}; "
+    "trans s0 -> s1; trans s1 -> s2; trans s2 -> s3; trans s3 -> s4; "
+    "trans s4 -> s5; trans s5 -> s5;"
+)
+HALTING = parse_kripke(
+    "ap a; states s0 s1; init s0; halt s1; label s0 {a}; label s1 {}; "
+    "trans s0 -> s0; trans s0 -> s1; trans s1 -> s1;"
+)
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The bounds check() encodes and then solves, in order."""
+    bounds = []
+    encode = driver.assemble_qbf
+    monkeypatch.setattr(driver, "assemble_qbf", lambda f, m, k, *a: bounds.append(k) or encode(f, m, k, *a))
+    return bounds
+
+
+def _per_bound(cfg):
+    # the reference sweep: each bound checked on its own, up to the first
+    # conclusive one or kMax
+    for k in range(cfg.k_from, cfg.k_max + 1):
+        v = check(dataclasses.replace(cfg, k_from=k, k_max=k))
+        if v.interpretation != UNKNOWN:
+            break
+    return v
+
+
+def test_sweep_equals_per_bound_checks(solved):
+    # the probe at kMax changes which bounds are solved, never the Verdict:
+    # every field, decoded witness states included, is the per-bound
+    # reference's. Leading X's push conclusions past the probe.
+    rng = random.Random(11)
+    configs = probes = conclusive = 0
+    for _ in range(80):
+        halting = rng.random() < 0.5
+        models, f = rand_instance(rng, max_quants=3, halting=halting)
+        body = f.body
+        for _ in range(rng.randint(0, 4)):
+            body = hl.Next(body)
+        f = hl.HyperFormula(prefix=f.prefix, body=body)
+        sems = list(oracle.SEMANTICS) if halting else [oracle.PES, oracle.OPT, oracle.CLASSIC]
+        k_from = rng.randint(0, 3)
+        k_max = k_from + rng.randint(0, 8)
+        for sem in sems:
+            for negate_first in (False, True):
+                for paper_literal in (False, True):
+                    cfg = CheckConfig(
+                        formula=f, models=models, k_from=k_from, k_max=k_max, semantics=sem,
+                        negate_first=negate_first, paper_literal=paper_literal,
+                    )
+                    solved.clear()
+                    v = check(cfg)
+                    configs += 1
+                    if sem != oracle.CLASSIC and solved != list(range(k_from, v.k + 1)):
+                        probes += 1
+                        conclusive += k_max in solved[:-1]
+                    assert v == _per_bound(cfg), (f, sem, negate_first, paper_literal, k_from, k_max)
+    assert configs >= 1200
+    assert probes >= 350
+    assert conclusive >= 45
+
+
+def test_probe_solve_order(solved):
+    # the ae formula never concludes under opt: after 0..5 the rent is
+    # 21 >= 16, so kMax is probed, found inconclusive and reported
+    v = check(CheckConfig(formula=AE, models={"A": COMPLETE, "B": COMPLETE},
+                          k_from=0, k_max=15, semantics=oracle.OPT))
+    assert solved == [0, 1, 2, 3, 4, 5, 15]
+    assert (v.k, v.interpretation) == (15, UNKNOWN)
+    # bakery2 falsify concludes at k=4 while its rent is 10 < 21: no probe
+    solved.clear()
+    bakery = gen_bakery(2)
+    v = check(CheckConfig(formula=parse_formula(builtin_spec("symmetry").formula),
+                          models={"A": bakery, "B": bakery}, k_from=0, k_max=20,
+                          semantics=oracle.PES, negate_first=True))
+    assert solved == [0, 1, 2, 3, 4]
+    assert (v.k, v.interpretation) == (4, FAILS)
+    # the probe at 15 concludes, so the sweep resumes at 6 and reports 11
+    solved.clear()
+    nonrep = gen_nonrepudiation("incorrect")
+    v = check(CheckConfig(formula=parse_formula(builtin_spec("fair_nonrepudiation").formula),
+                          models={"P": nonrep, "Q": nonrep}, k_from=0, k_max=15,
+                          semantics=oracle.HPES, negate_first=True))
+    assert solved == [0, 1, 2, 3, 4, 5, 15, 6, 7, 8, 9, 10, 11]
+    assert (v.k, v.interpretation) == (11, FAILS)
+
+
+@pytest.mark.parametrize("sem, formula", [
+    (oracle.HPES, "forall A. G a[A]"),
+    (oracle.HOPT, "exists A. G a[A]"),
+])
+def test_paper_literal_and_single_bound_sweep_in_order(solved, sem, formula):
+    # the release rule of paper_literal is not monotone under hpes/hopt,
+    # so such a sweep never probes; a single bound is solved once
+    cfg = CheckConfig(formula=parse_formula(formula), models={"A": HALTING},
+                      k_from=0, k_max=8, semantics=sem, paper_literal=True)
+    v = check(cfg)
+    assert solved == list(range(9))
+    assert (v.k, v.interpretation) == (8, UNKNOWN)
+    solved.clear()
+    check(dataclasses.replace(cfg, k_from=8, paper_literal=False))
+    assert solved == [8]
+
+
+@pytest.mark.parametrize("error", [
+    qbf.ResourceLimitError(10), MemoryError(), qbf.SolverTimeoutError(1.0), qbf.QbfError("no"),
+])
+@pytest.mark.parametrize("formula, models, sem, k_max", [
+    (AE, {"A": COMPLETE, "B": COMPLETE}, oracle.OPT, 8),  # inconclusive at kMax
+    (parse_formula("exists A. F a[A]"), {"A": LATE_A}, oracle.PES, 8),  # concludes at 6
+])
+def test_probe_that_hits_a_limit_is_not_known(monkeypatch, solved, error, formula, models, sem, k_max):
+    # the probe's solve raises; the sweep goes on without it, solves kMax
+    # again if it gets there, and ends with the reference's verdict
+    raised = []
+    real = qbf.solve
+
+    def stub(q):
+        if solved[-1] == k_max and not raised:
+            raised.append(q)
+            raise error
+        return real(q)
+
+    monkeypatch.setattr(qbf, "solve", stub)
+    cfg = CheckConfig(formula=formula, models=models, k_from=0, k_max=k_max, semantics=sem)
+    v = check(cfg)
+    assert raised and solved[4] == k_max  # the probe ran before bound 4
+    monkeypatch.setattr(qbf, "solve", real)
+    assert v == _per_bound(cfg)
+
+
+def test_a_limit_at_kmax_still_ends_the_sweep(monkeypatch, solved):
+    # kMax fails every time: the probe is not known, the sweep reaches kMax,
+    # solves it again and fails as a plain sweep does
+    real = qbf.solve
+
+    def stub(q):
+        if solved[-1] == 8:
+            raise qbf.ResourceLimitError(10)
+        return real(q)
+
+    monkeypatch.setattr(qbf, "solve", stub)
+    with pytest.raises(qbf.ResourceLimitError):
+        check(CheckConfig(formula=AE, models={"A": COMPLETE, "B": COMPLETE},
+                          k_from=0, k_max=8, semantics=oracle.OPT))
+    assert solved == [0, 1, 2, 3, 8, 4, 5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("formula, models, sem, k_max, order", [
+    # the probe is inconclusive and reported
+    (AE, {"A": COMPLETE, "B": COMPLETE}, oracle.OPT, 8, [0, 1, 2, 3, 8]),
+    # the probe concludes, and so does a bound below it
+    (parse_formula("exists A. F a[A]"), {"A": LATE_A}, oracle.PES, 8, [0, 1, 2, 3, 8, 4, 5, 6]),
+    # the probe concludes, and the sweep passes kMax-1 without concluding
+    (parse_formula("exists A. F a[A]"), {"A": LATE_A}, oracle.PES, 6, [0, 1, 2, 3, 6, 4, 5]),
+])
+def test_emit_qcir_keeps_the_reported_bound(tmp_path, solved, formula, models, sem, k_max, order):
+    swept, alone = tmp_path / "swept.qcir", tmp_path / "alone.qcir"
+    cfg = CheckConfig(formula=formula, models=models, k_from=0, k_max=k_max, semantics=sem,
+                      emit_qcir_path=str(swept))
+    v = check(cfg)
+    assert solved == order
+    check(dataclasses.replace(cfg, k_from=v.k, k_max=v.k, emit_qcir_path=str(alone)))
+    assert swept.read_bytes() == alone.read_bytes()
