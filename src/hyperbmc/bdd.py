@@ -276,20 +276,20 @@ class BDD:
         return out[0]
 
     def exists(self, f, variables):
-        return self.quantify(AND, OR, f, TRUE, variables)
+        return self.quantify(AND, f, TRUE, variables)
 
     def forall(self, f, variables):
-        return self.quantify(OR, AND, f, FALSE, variables)
+        return self.quantify(OR, f, FALSE, variables)
 
-    def quantify(self, op, qop, f, g, variables):
+    def quantify(self, op, f, g, variables):
         """Quantify `variables` out of op(f, g) without building op(f, g) first.
 
-        qop joins the two cofactors of a quantified variable: OR for an
-        existential, AND for a universal. So quantify(AND, OR, f, g, B) is
-        the relational product of f and g over B, and quantify(OR, AND, f,
-        g, B) is its universal dual. Passing op's unit as g quantifies f
-        alone. A zero low cofactor for OR (or a zero high one for AND)
-        skips the other cofactor.
+        The quantifier is op's dual: an existential over AND, a universal
+        over OR. So quantify(AND, f, g, B) is the relational product of f
+        and g over B, and quantify(OR, f, g, B) is its universal dual.
+        Passing op's unit as g quantifies f alone. A low cofactor that
+        decides the quantifier (TRUE under the existential, FALSE under the
+        universal) skips the high one.
         """
         variables = list(variables)
         if not variables:
@@ -299,7 +299,7 @@ class BDD:
             qset[v] = 1
         maxq = len(qset) - 1
         zero, unit = (FALSE, TRUE) if op == AND else (TRUE, FALSE)
-        decided = TRUE if qop == OR else FALSE
+        qop, decided = (OR, TRUE) if op == AND else (AND, FALSE)
         level, lo, hi, mk, shift = self.level, self.lo, self.hi, self._mk, self._shift
         apply = self.apply
         memo = {}

@@ -22,6 +22,9 @@ shifted window of variables, like a model's transition relation at every
 step of an unrolling, is then one table and one small node per window.
 evaluate looks a table gate's code up among its rows; cofactors (and so
 restrict) expand it into AND/OR gates.
+
+Each unrolling that `unrolling` makes, an initial table AND a transition
+table at every step, is recorded, so the solver looks it up.
 """
 
 FALSE = 0
@@ -45,6 +48,7 @@ class Circuit:
         self._intern = {}
         self.tables = []  # table id -> (ascending offsets, sorted tuple of int rows)
         self._table_ids = {}
+        self.unrollings = {}  # AND gate -> the arguments of the unrolling call that made it
 
     def __len__(self):
         return len(self.kinds)
@@ -123,6 +127,22 @@ class Circuit:
         if not offsets:
             return TRUE
         return self._mk(K_TABLE, (tid, base), sum(1 << (base + o) for o in offsets))
+
+    def unrolling(self, init, step, base, stride, steps):
+        """AND of table init at base and table step at base + i·stride, i < steps; recorded if an AND.
+
+        step's offsets must be init's, W, then W + stride, with stride past
+        W's span. qbf._compile builds a recorded unrolling as one path set.
+        """
+        window, offsets = self.tables[init][0], self.tables[step][0]
+        if offsets != (*window, *(o + stride for o in window)) or window and stride <= window[-1] - window[0]:
+            raise ValueError(f"table {step} does not unroll table {init} with stride {stride}")
+        gates = [self.table_gate(init, base)]
+        gates += [self.table_gate(step, base + i * stride) for i in range(steps)]
+        n = self.and_(gates)
+        if self.kinds[n] == K_AND:
+            self.unrollings[n] = (init, step, base, stride, steps)
+        return n
 
     def expand(self, n):
         """Table gate n as an OR of ANDs of literals, one AND per row.

@@ -151,11 +151,7 @@ def _validate_config(cfg: CheckConfig):
 
 
 def _validate_aps(formula, models):
-    used = {}
-    for b in hl.walk(formula.body):
-        if isinstance(b, (hl.Atom, hl.NegAtom)):
-            used.setdefault(b.var, set()).add(b.ap)
-    for var, aps in used.items():
+    for var, aps in hl.aps_read(formula.body).items():
         declared = set(models[var].aps)
         for ap in sorted(aps):
             if ap != "@halt" and ap not in declared:

@@ -96,10 +96,7 @@ def state_orders(models, formula) -> dict:
     which can shrink the BDDs that read them. Trace variables bound to one
     model share one order, so their tables and unrollings keep one shape.
     """
-    read = {}
-    for b in hl.walk(formula.body):
-        if isinstance(b, (hl.Atom, hl.NegAtom)):
-            read.setdefault(b.var, set()).add(b.ap)
+    read = hl.aps_read(formula.body)
     orders = {}
     for _, var in formula.prefix:
         m = models[var]
@@ -213,7 +210,9 @@ def unroll_structure(structure, var, k, layout, circ: Circuit) -> int:
 
     The transition table's offsets span one step from 0 and the next from
     layout.stride, so one gate per step reads it: a row is the source's
-    code OR the target's shifted by nbits.
+    code OR the target's shifted by nbits. The circuit records the result
+    as an unrolling (Circuit.unrolling), which the solver builds as one
+    path set.
     """
     nbits = state_bit_count(len(structure.states))
     init = circ.table(range(nbits), [layout.code(var, structure.init)])
@@ -221,9 +220,7 @@ def unroll_structure(structure, var, k, layout, circ: Circuit) -> int:
         [*range(nbits), *range(layout.stride, layout.stride + nbits)],
         [layout.code(var, s) | layout.code(var, d) << nbits for s, d in structure.trans],
     )
-    parts = [circ.table_gate(init, layout.base(var, 0))]
-    parts += [circ.table_gate(step, layout.base(var, i)) for i in range(k)]
-    return circ.and_(parts)
+    return circ.unrolling(init, step, layout.base(var, 0), layout.stride, k)
 
 
 def encode_body(body, k, sem, layout, circ: Circuit, paper_literal=False) -> int:

@@ -297,14 +297,22 @@ def walk(body):
             stack.append(b.left)
 
 
+def aps_read(body):
+    """{trace variable: the propositions the body reads on its trace}."""
+    read = {}
+    for b in walk(body):
+        if isinstance(b, (Atom, NegAtom)):
+            read.setdefault(b.var, set()).add(b.ap)
+    return read
+
+
 def _check_closed(f: HyperFormula):
     bound = set()
     for _, v in f.prefix:
         if v in bound:
             raise FormulaError(f"trace variable {v!r} quantified twice")
         bound.add(v)
-    used = {b.var for b in walk(f.body) if isinstance(b, (Atom, NegAtom))}
-    for v in sorted(used - bound):
+    for v in sorted(aps_read(f.body).keys() - bound):
         raise UnboundVariableError(v)
 
 

@@ -15,7 +15,6 @@ import shlex
 import subprocess
 import tempfile
 from dataclasses import dataclass
-from itertools import permutations
 
 from . import circuit as ct
 from .circuit import Circuit
@@ -99,9 +98,10 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     The quantifier is pushed down the circuit before any BDD is built: a
     universal distributes over AND and an existential over OR, NOT flips
     it, and children that do not mention `variables` stay outside it.
-    Where it stops (an existential over AND, a universal over OR), the
-    children that do mention them are quantified in relational products
-    (see below). So a block's quantifier meets its own unrolling and the
+    Where it stops (an existential over AND, a universal over OR, and a
+    variable, a table gate or an unrolling under either), the children
+    that do mention them are quantified in relational products (see
+    below). So a block's quantifier meets its own unrolling and the
     body, never the unrollings of outer traces. A gate keeps its operands
     as built (circuit.py), so a stop's children, and the split body's
     below, are read through the nested gates of the same kind that mix
@@ -143,17 +143,16 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     copies as its only child, so that BDD lives until its last copy is
     made, and no shape equals a descendant's, so it is built first.
 
-    An AND gate whose operands are all table gates, one of a table over
-    the offsets W at base b and the others of a table over W followed by
-    W+d at the bases b, b+d, .., b+(m-1)d, is an unrolling as
-    encoder.unroll_structure builds it: an initial state and m steps of a
-    transition relation. It is one BDD.paths call on the tables' rows as
-    they stand (a step row's low |W| bits are its values on W), which
-    makes only the nodes its result reaches; its step gates are never
-    built. Every other AND and OR joins its operands. A variable, a table
-    gate or an unrolling under a quantifier quantifies its plain BDD, so
-    an unrolling that is itself the quantifier's stop (when the body folds
-    to a constant) is not joined from its gates either.
+    An AND gate that circ.unrollings records (see Circuit.unrolling: an
+    initial state and m steps of a transition relation) is one BDD.paths
+    call on the tables' rows as they stand (a step row's low |W| bits are
+    its values on W), which makes only the nodes its result reaches; its
+    step gates are never built. Every other AND and OR joins its
+    operands. A variable, a table gate or an unrolling under a quantifier
+    is a stop too, with itself as its one part and no guard: its plain
+    BDD is quantified, so an unrolling that is itself the quantifier's
+    stop (when the body folds to a constant) is not joined from its gates
+    either.
 
     Shapes take one pass over the arena in id order (children first).
     The circuit is then walked twice without recursion: once to list each
@@ -199,26 +198,6 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         last = (mixed or [c for c in own if masks[c] & qmask])[-1]
         return [c for c in own if c != last], [last]
 
-    def path_set(n):
-        """The arguments of BDD.paths for AND gate n, if it is an unrolling (see above)."""
-        gates = payloads[n]
-        if any(kinds[c] != ct.K_TABLE for c in gates):
-            return None
-        bases = {}
-        for c in gates:
-            tid, base = payloads[c]
-            bases.setdefault(tid, []).append(base)
-        if len(bases) != 2:
-            return None
-        for (init, (b, *more)), (step, at) in permutations(bases.items()):
-            window, offsets = circ.tables[init][0], circ.tables[step][0]
-            d = offsets[-1] - window[-1]
-            if (not more and d > window[-1] - window[0]
-                    and offsets == (*window, *(o + d for o in window))
-                    and sorted(at) == list(range(b, b + len(at) * d, d))):
-                return window, circ.tables[init][1], circ.tables[step][1], b, d, len(at)
-        return None
-
     # Each node's shape, interned to an int, and its offset (see above).
     shape, off = [0] * len(kinds), [0] * len(kinds)
     shapes = {}
@@ -236,9 +215,9 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
             s = (k, *sorted((shape[c], off[c] - o) for c in p))
         shape[n] = shapes.setdefault(s, len(shapes))
 
+    unrollings = circ.unrollings
     kids = {}
-    stops = {}  # stop's key -> stop_operands of its node
-    chains = {}  # an unrolling's key -> its path_set
+    stops = {}  # stop's key -> (the others, the parts) of its node (see above)
     first = {}  # shape -> the key of its first PLAIN node, which later ones copy
     moved = {}  # key of a copy -> (its shift from the copied key, whether it negates)
     order = []
@@ -260,18 +239,14 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         elif k == ct.K_NOT:
             moved[key] = (0, True)
             ks = (key_of(m, flip[mode]),)
-        elif mode != _PLAIN and (k in (ct.K_VAR, ct.K_TABLE) or k == ct.K_AND and path_set(n)):
+        elif mode != _PLAIN and (k in (ct.K_VAR, ct.K_TABLE) or n in unrollings):
+            stops[key] = ([], [n])  # one part: its plain BDD, quantified
             ks = (3 * n,)
-        elif k in (ct.K_AND, ct.K_OR) and mode == (_FORALL if k == ct.K_AND else _EXISTS):
-            ks = tuple(key_of(c, mode) for c in payloads[n])
-        elif k == ct.K_AND and mode == _PLAIN and (chain := path_set(n)):
-            chains[key] = chain
-            ks = ()
-        elif k in (ct.K_AND, ct.K_OR) and mode == _PLAIN:
-            ks = tuple(3 * c for c in payloads[n])
-        elif k in (ct.K_AND, ct.K_OR):
+        elif mode not in (_PLAIN, _FORALL if k == ct.K_AND else _EXISTS):  # ∃ over AND, ∀ over OR
             others, parts = stops[key] = stop_operands(n)
             ks = tuple(3 * c for c in others + parts)
+        elif k in (ct.K_AND, ct.K_OR) and n not in unrollings:
+            ks = tuple(key_of(c, mode) for c in payloads[n])
         else:
             ks = ()
         kids[key] = ks
@@ -287,36 +262,34 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         ks = kids[key]
         if key in moved:
             return mgr.copy(memo[ks[0]], *moved[key])
-        if mode != _PLAIN and ks == (3 * n,):  # a variable, a table gate or an unrolling, built whole
-            eliminate = mgr.exists if mode == _EXISTS else mgr.forall
-            return eliminate(memo[ks[0]], variables)
+        if key in stops:
+            # The quantifier stops here: the other children that mention its
+            # variables join into a guard, each part that mentions them meets
+            # the guard in one product, and the children without them are
+            # added last.
+            others, parts = stops[key]
+            op, qop = (bdd.AND, bdd.OR) if mode == _EXISTS else (bdd.OR, bdd.AND)
+            guard = mgr.join(op, [memo[3 * c] for c in others if masks[c] & qmask])
+            if guard == (bdd.FALSE if op == bdd.AND else bdd.TRUE):
+                return guard
+            node = mgr.join(qop, [
+                mgr.quantify(op, guard, memo[3 * d], variables) if masks[d] & qmask else memo[3 * d]
+                for d in parts
+            ])
+            return mgr.join(op, [node, *(memo[3 * c] for c in others if not masks[c] & qmask)])
         if k == ct.K_CONST:
             return n
         if k == ct.K_VAR:
             return mgr.var(payloads[n])
-        if key in chains:
-            return mgr.paths(*chains[key])
         if k == ct.K_TABLE:
             tid, base = payloads[n]
             offsets, rows = circ.tables[tid]
             return mgr.relation([base + o for o in offsets], rows)
-        op = bdd.AND if k == ct.K_AND else bdd.OR
-        if mode == _PLAIN or mode == (_FORALL if k == ct.K_AND else _EXISTS):
-            return mgr.join(op, [memo[c] for c in ks])
-        # The quantifier stops here: the other children that mention its
-        # variables join into a guard, each part that mentions them meets
-        # the guard in one product, and the children without them are
-        # added last.
-        others, parts = stops[key]
-        qop = bdd.OR if mode == _EXISTS else bdd.AND
-        guard = mgr.join(op, [memo[3 * c] for c in others if masks[c] & qmask])
-        if guard == (bdd.FALSE if op == bdd.AND else bdd.TRUE):
-            return guard
-        node = mgr.join(qop, [
-            mgr.quantify(op, qop, guard, memo[3 * d], variables) if masks[d] & qmask else memo[3 * d]
-            for d in parts
-        ])
-        return mgr.join(op, [node, *(memo[3 * c] for c in others if not masks[c] & qmask)])
+        if n in unrollings:
+            init, step, base, stride, steps = unrollings[n]
+            window, init_rows = circ.tables[init]
+            return mgr.paths(window, init_rows, circ.tables[step][1], base, stride, steps)
+        return mgr.join(bdd.AND if k == ct.K_AND else bdd.OR, [memo[c] for c in ks])
 
     refs = dict.fromkeys(kids, 0)
     for ks in kids.values():

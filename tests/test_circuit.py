@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from hyperbmc.circuit import FALSE, TRUE, Circuit
 
 
@@ -123,3 +125,26 @@ def test_table_gate_evaluate_expand_and_restrict_agree():
         for v, b in enumerate(bits):
             g = c.restrict(g, v, b)
         assert g == (TRUE if want else FALSE)
+
+
+def test_unrolling_refuses_tables_that_do_not_unroll():
+    # the step table must read the initial table's window and the same
+    # window one stride higher, with the stride past the window's span
+    c = Circuit()
+    init = c.table((0, 2), [0b01])
+    step = c.table((0, 2, 3, 5), [0b0101, 0b1001])
+    unequal = c.table((0, 2, 3, 6), [0b0101])
+    overlapping = c.table((0, 2, 2, 4), [0b0101])
+    size = len(c)
+    with pytest.raises(ValueError):
+        c.unrolling(init, unequal, 0, 3, 2)
+    with pytest.raises(ValueError):
+        c.unrolling(init, step, 0, 4, 2)  # not the stride the table steps by
+    with pytest.raises(ValueError):
+        c.unrolling(init, overlapping, 0, 2, 2)
+    assert len(c) == size and c.unrollings == {}
+    n = c.unrolling(init, step, 1, 3, 2)
+    assert c.unrollings == {n: (init, step, 1, 3, 2)}
+    assert n == c.and_([c.table_gate(init, 1), c.table_gate(step, 1), c.table_gate(step, 4)])
+    assert c.unrolling(init, step, 1, 3, 0) == c.table_gate(init, 1)  # no AND, no record
+    assert list(c.unrollings) == [n]

@@ -502,6 +502,29 @@ def test_paper_literal_and_single_bound_sweep_in_order(solved, sem, formula):
     assert solved == [8]
 
 
+RELEASED_AT_HALT = parse_kripke(
+    "ap a b; states s0 s1 s2 s3 s4 s5; init s0; halt s5; label s0 {b}; label s1 {b}; "
+    "label s2 {b}; label s3 {b}; label s4 {b}; label s5 {a}; "
+    "trans s0 -> s1; trans s1 -> s2; trans s2 -> s3; trans s3 -> s4; trans s4 -> s5; trans s5 -> s5;"
+)
+
+
+def test_paper_literal_concludes_where_a_probe_would_not():
+    # Under paper_literal, a release at the bound takes its left arm:
+    # a[A] R b[A] at step 5 holds only at k=5, where step 5 is the bound
+    # and halts in s5, labelled a. Below the bound a release needs b, which
+    # s5 lacks, so the formula is false from k=6 on. Not monotone: only
+    # the plain sweep finds the verdict, and a kMax probe would stop at an
+    # inconclusive k=10.
+    f = parse_formula("exists A. X X X X X (a[A] R b[A])")
+    models = {"A": RELEASED_AT_HALT}
+    truth = [oracle.check_bounded(models, normalize(f), k, oracle.HPES, True) for k in range(11)]
+    assert truth == [k == 5 for k in range(11)]
+    v = check(CheckConfig(formula=f, models=models, k_from=0, k_max=10,
+                          semantics=oracle.HPES, paper_literal=True))
+    assert (v.k, v.interpretation, v.witness_status) == (5, HOLDS, "verified")
+
+
 @pytest.mark.parametrize("error", [
     qbf.ResourceLimitError(10), MemoryError(), qbf.SolverTimeoutError(1.0), qbf.QbfError("no"),
 ])

@@ -507,7 +507,7 @@ def test_split_fires_once_per_mixed_disjunct(monkeypatch):
     split = qbf._compile(c, mgr, q.matrix, qbf._EXISTS, inner)
     assert calls[0] == len(disjuncts)
     guard = mgr.join(bdd.AND, [qbf._compile(c, mgr, n) for n in guards])
-    whole = mgr.quantify(bdd.AND, bdd.OR, guard, qbf._compile(c, mgr, body), inner)
+    whole = mgr.quantify(bdd.AND, guard, qbf._compile(c, mgr, body), inner)
     rest = [qbf._compile(c, mgr, n) for n in c.payloads[q.matrix] if n != stop]
     assert split == mgr.join(bdd.OR, [whole, *rest])
 
@@ -705,15 +705,16 @@ def test_unrolling_joined_once_per_model(monkeypatch):
 def rand_chain(rng, c, lo):
     """A block's guard over variables from lo up: an unrolling, or a near miss of one.
 
-    An unrolling is an AND, as unroll_structure builds one, of an initial
-    table over a window at base b and m gates of a step table over the
-    window followed by the window d higher, at bases b, b+d, ..
-    b+(m-1)d. A near miss breaks it in one way: a step gate missing, one
-    off the progression, the gates d+1 apart, the step table's second
-    window shaped unlike its first, an operand that is no table gate, or
-    no initial table. Returns the guard, the block's variables and, for
-    an unrolling, its shape: unrollings of one shape are the same
-    function of variables a constant distance apart.
+    An unrolling is made by Circuit.unrolling, as unroll_structure makes
+    one: an AND of an initial table over a window at base b and m gates of
+    a step table over the window followed by the window d higher, at bases
+    b, b+d, .. b+(m-1)d. A near miss is an AND made by and_ that breaks
+    it in one way: a step gate missing, one off the progression, the
+    gates d+1 apart, the step table's second window shaped unlike its
+    first, an operand that is no table gate, or no initial table. Returns
+    the guard, the block's variables and, for an unrolling, its shape:
+    unrollings of one shape are the same function of variables a constant
+    distance apart.
     """
     w = rng.randint(1, 2)
     window = (0,) if w == 1 else (0, rng.randint(1, 2))
@@ -737,14 +738,15 @@ def rand_chain(rng, c, lo):
         del bases[rng.randrange(m - 1)]
     if miss == "off":
         bases[-1] += 1
+    variables = tuple(range(lo, max(bases) + max(second) + 1))
+    if miss is None:
+        return c.unrolling(init, step, b, d, m), variables, (init, step, m)
     gates = [c.table_gate(step, base) for base in bases]
     if miss != "noinit":
         gates.append(c.table_gate(init, b))
-    hi = max(bases) + max(second)
     if miss == "extra":
-        gates.append(c.var(rng.randint(lo, hi)))
-    shape = (init, step, m) if miss is None else None
-    return c.and_(gates), tuple(range(lo, hi + 1)), shape
+        gates.append(c.var(rng.randint(lo, variables[-1])))
+    return c.and_(gates), variables, None
 
 
 def rand_chain_prenex(rng):
@@ -807,6 +809,27 @@ def test_chain_guards_agree_with_naive_evaluator(rng, monkeypatch):
     assert kept >= 100
     assert witnesses >= 100
     assert stops >= 30
+
+
+def test_unrecorded_unrolling_is_joined(monkeypatch):
+    # A QCIR document carries no records: its parsed circuit joins the
+    # gates of each unrolling, and its value is the encoded QBF's.
+    from hyperbmc import oracle
+    from hyperbmc.encoder import assemble_qbf
+    from hyperbmc.hyperltl import normalize, parse_formula
+    from hyperbmc.models import builtin_spec, gen_grid
+
+    grid = gen_grid(4, 4, {(0, 1), (1, 1), (2, 1)}, [(0, 0)], {(0, 3)})
+    formula = normalize(parse_formula(builtin_spec("shortest_path").formula))
+    q = assemble_qbf(formula, {v: grid for _, v in formula.prefix}, 6, oracle.CLASSIC)
+    again = parse_qcir(emit_qcir(q))
+    assert len(q.circuit.unrollings) == 2 and again.circuit.unrollings == {}
+    calls = _count_calls(monkeypatch, "paths")
+    r = solve(q)
+    assert calls[0] == 1  # the two traces' unrollings are one shape
+    calls[0] = 0
+    assert solve(again).value == r.value
+    assert calls[0] == 0
 
 
 def rand_shifted_prenex(rng):
