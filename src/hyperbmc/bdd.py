@@ -9,11 +9,14 @@ functions are: a BDD is FALSE or TRUE exactly when its handle is.
 
 Every operation is a loop over an explicit stack, so neither the number
 of variables nor the depth of a BDD meets the Python recursion limit.
-copy() is the one loop that relocates and negates: it remakes a BDD
-node for node, moving every level by a constant shift and swapping the
-terminals if asked, reduced and ordered without any apply. So a caller
-builds a function that repeats at every step once and copies it to the
-other steps, and the NOT of such a copy is one pass, not two.
+apply() and quantify() share one loop, the product of two BDDs over
+their cofactors (Bryant 1986; Burch, Clarke, Long 1991): apply() is the
+product that quantifies no level. copy() is the one loop that relocates
+and negates: it remakes a BDD node for node, moving every level by a
+constant shift and swapping the terminals if asked, reduced and ordered
+without any apply. So a caller builds a function that repeats at every
+step once and copies it to the other steps, and the NOT of such a copy
+is one pass, not two.
 relation() builds a BDD as a trie of rows, each an int whose bits are
 its variables' values, as a state's code is. paths() builds the paths
 through a transition table, an initial relation AND every step's
@@ -44,9 +47,6 @@ GC_MIN_NODES = 1 << 17
 
 # Computed-table entries per operation before the table is dropped.
 CACHE_LIMIT = 1 << 20
-
-# Frame tags of the quantifying apply loop.
-_EXPAND, _MK, _AFTER_LO, _COMBINE = range(4)
 
 
 class NodeCapError(Exception):
@@ -100,11 +100,23 @@ class BDD:
         return self._mk(v, FALSE, TRUE)
 
     def apply(self, op, f, g):
-        """f AND g or f OR g."""
-        zero, unit = (FALSE, TRUE) if op == AND else (TRUE, FALSE)
+        """f AND g or f OR g: the product that quantifies no level."""
         cache = self._cache[op]
         if len(cache) > CACHE_LIMIT:
             cache.clear()
+        return self._product(op, f, g, b"", cache)
+
+    def _product(self, op, f, g, qset, memo):
+        """op(f, g) with the levels set in `qset` quantified by op's dual.
+
+        The one cofactor recursion of apply and quantify. A quantified
+        level joins its two cofactors with the dual op; any other makes a
+        node. `memo` maps an operand pair's key to its result; apply
+        passes its computed table, which holds only unquantified products.
+        """
+        zero, unit = (FALSE, TRUE) if op == AND else (TRUE, FALSE)
+        qop = OR if op == AND else AND
+        nq = len(qset)
         level, lo, hi, unique, shift = self.level, self.lo, self.hi, self._unique, self._shift
         cap = self.node_cap if self.node_cap is not None else 1 << shift
         out = []
@@ -112,10 +124,12 @@ class BDD:
         push, pop, emit = todo.append, todo.pop, out.append
         while todo:
             f, g, v = pop()
-            if v >= 0:  # both cofactors done; f holds the table key
+            if v >= 0:  # both cofactors done; f holds the memo key
                 h = out.pop()
                 r = out[-1]
-                if r != h:  # _mk, inlined: this is the hot loop
+                if v < nq and qset[v]:
+                    r = out[-1] = self.apply(qop, r, h)
+                elif r != h:  # _mk, inlined: this is the hot loop
                     table = unique[v]
                     key = r << shift | h
                     n = table.get(key)
@@ -128,35 +142,40 @@ class BDD:
                         hi.append(h)
                         table[key] = n
                     r = out[-1] = n
-                cache[f] = r
-            elif f == g or g == unit:
-                emit(f)
+                memo[f] = r
+                continue
+            # reduce op(f, g) to one operand where the op allows
+            if f == g or g == unit:
+                g = unit
             elif f == unit:
-                emit(g)
+                f, g = g, unit
             elif f == zero or g == zero:
                 emit(zero)
+                continue
+            if g == unit and level[f] >= nq:  # nothing below f is quantified
+                emit(f)
+                continue
+            if f > g:
+                f, g = g, f
+            key = f << shift | g
+            r = memo.get(key)
+            if r is not None:
+                emit(r)
+                continue
+            vf = level[f]
+            vg = level[g]
+            if vf == vg:
+                push((key, 0, vf))
+                push((hi[f], hi[g], -1))
+                push((lo[f], lo[g], -1))
+            elif vf < vg:
+                push((key, 0, vf))
+                push((hi[f], g, -1))
+                push((lo[f], g, -1))
             else:
-                if f > g:
-                    f, g = g, f
-                key = f << shift | g
-                r = cache.get(key)
-                if r is not None:
-                    emit(r)
-                    continue
-                vf = level[f]
-                vg = level[g]
-                if vf == vg:
-                    push((key, 0, vf))
-                    push((hi[f], hi[g], -1))
-                    push((lo[f], lo[g], -1))
-                elif vf < vg:
-                    push((key, 0, vf))
-                    push((hi[f], g, -1))
-                    push((lo[f], g, -1))
-                else:
-                    push((key, 0, vg))
-                    push((f, hi[g], -1))
-                    push((f, lo[g], -1))
+                push((key, 0, vg))
+                push((f, hi[g], -1))
+                push((f, lo[g], -1))
         return out[0]
 
     def join(self, op, nodes):
@@ -287,81 +306,13 @@ class BDD:
         The quantifier is op's dual: an existential over AND, a universal
         over OR. So quantify(AND, f, g, B) is the relational product of f
         and g over B, and quantify(OR, f, g, B) is its universal dual.
-        Passing op's unit as g quantifies f alone. A low cofactor that
-        decides the quantifier (TRUE under the existential, FALSE under the
-        universal) skips the high one.
+        Passing op's unit as g quantifies f alone. Its memo lives for one
+        call, so apply's computed table never holds a quantified product.
         """
-        variables = list(variables)
-        if not variables:
-            return self.apply(op, f, g)
-        qset = bytearray(max(variables) + 1)
+        qset = bytearray(max(variables, default=-1) + 1)
         for v in variables:
             qset[v] = 1
-        maxq = len(qset) - 1
-        zero, unit = (FALSE, TRUE) if op == AND else (TRUE, FALSE)
-        qop, decided = (OR, TRUE) if op == AND else (AND, FALSE)
-        level, lo, hi, mk, shift = self.level, self.lo, self.hi, self._mk, self._shift
-        apply = self.apply
-        memo = {}
-        out = []
-        todo = [(_EXPAND, f, g)]
-        while todo:
-            frame = todo.pop()
-            tag = frame[0]
-            if tag == _EXPAND:
-                _, f, g = frame
-                # reduce op(f, g) to one operand where the op allows
-                if f == g or g == unit:
-                    g = unit
-                elif f == unit:
-                    f, g = g, unit
-                elif f == zero or g == zero:
-                    out.append(zero)
-                    continue
-                if g == unit:
-                    if f <= TRUE or level[f] > maxq:
-                        out.append(f)
-                        continue
-                    vf, vg = level[f], _TERMINAL
-                else:
-                    vf, vg = level[f], level[g]
-                    if vf > maxq and vg > maxq:
-                        out.append(apply(op, f, g))
-                        continue
-                    if f > g:
-                        f, g, vf, vg = g, f, vg, vf
-                key = f << shift | g
-                r = memo.get(key)
-                if r is not None:
-                    out.append(r)
-                    continue
-                v = vf if vf < vg else vg
-                f0, f1 = (lo[f], hi[f]) if vf == v else (f, f)
-                g0, g1 = (lo[g], hi[g]) if vg == v else (g, g)
-                if qset[v]:
-                    todo.append((_AFTER_LO, key, f1, g1))
-                else:
-                    todo.append((_MK, key, v))
-                    todo.append((_EXPAND, f1, g1))
-                todo.append((_EXPAND, f0, g0))
-            elif tag == _MK:
-                _, key, v = frame
-                h = out.pop()
-                l = out[-1]
-                r = out[-1] = l if l == h else mk(v, l, h)
-                memo[key] = r
-            elif tag == _AFTER_LO:
-                _, key, f1, g1 = frame
-                if out[-1] == decided:
-                    memo[key] = decided
-                else:
-                    todo.append((_COMBINE, key))
-                    todo.append((_EXPAND, f1, g1))
-            else:
-                h = out.pop()
-                r = out[-1] = apply(qop, out[-1], h)
-                memo[frame[1]] = r
-        return out[0]
+        return self._product(op, f, g, qset, {})
 
     def path(self, f, target):
         """The lowest path from f to the terminal `target`: {level: value}.

@@ -57,6 +57,7 @@ def eval_body(assignment, i, body, k, sem, paper_literal=False):
     recursion limit; they short-circuit as a recursion would, and results
     are memoized per (subformula, step) for the duration of one call.
     """
+    _check_semantics(sem)
 
     def halting(at_k):
         halted = all(prefix.halted[k] for prefix in assignment.values())
@@ -123,6 +124,11 @@ def eval_body(assignment, i, body, k, sem, paper_literal=False):
     return hl.rewrite((body, i), run, key=lambda item: (id(item[0]), item[1]))
 
 
+def _check_semantics(sem):
+    if sem not in SEMANTICS + (CLASSIC_DUAL,):
+        raise OracleError(f"unknown semantics {sem!r}")
+
+
 def check_bounded(models, formula, k, sem, paper_literal=False):
     """Evaluate a closed NNF formula: quantifiers by enumeration, body at i=0."""
     return _quantify(models, formula, k, sem, paper_literal, {})
@@ -147,8 +153,13 @@ def _quantify(models, formula, k, sem, paper_literal, pinned):
 
     The product of the remaining prefix counts is compared with the cap
     before any prefix is enumerated. A negative bound has no prefixes to
-    enumerate and is rejected.
+    enumerate and is rejected. The quantifiers are walked on an explicit
+    stack, so the prefix's length does not meet the recursion limit: each
+    open quantifier keeps an iterator over the prefixes it has yet to try,
+    and a value that decides a quantifier (True under exists, False under
+    forall) skips the rest of them.
     """
+    _check_semantics(sem)
     if k < 0:
         raise OracleError(f"bound {k} is negative")
     rest = formula.prefix[len(pinned) :]
@@ -162,11 +173,25 @@ def _quantify(models, formula, k, sem, paper_literal, pinned):
         if id(models[var]) not in prefix_sets:
             prefix_sets[id(models[var])] = enumerate_prefixes(models[var], k)
 
-    def go(idx, assignment):
-        if idx == len(rest):
-            return eval_body(assignment, 0, formula.body, k, sem, paper_literal)
-        quant, var = rest[idx]
-        branches = (go(idx + 1, {**assignment, var: t}) for t in prefix_sets[id(models[var])])
-        return any(branches) if quant == hl.EXISTS else all(branches)
-
-    return go(0, pinned)
+    assignment = dict(pinned)
+    if not rest:
+        return eval_body(assignment, 0, formula.body, k, sem, paper_literal)
+    branches = [iter(prefix_sets[id(models[rest[0][1]])])]
+    while branches:
+        quant, var = rest[len(branches) - 1]
+        t = next(branches[-1], None)
+        if t is None:  # no prefix decided it
+            value = quant != hl.EXISTS
+        else:
+            assignment[var] = t
+            if len(branches) < len(rest):
+                branches.append(iter(prefix_sets[id(models[rest[len(branches)][1]])]))
+                continue
+            value = eval_body(assignment, 0, formula.body, k, sem, paper_literal)
+            if value != (quant == hl.EXISTS):
+                continue
+        # value decides the innermost open quantifier, and each enclosing one it decides too
+        branches.pop()
+        while branches and value == (rest[len(branches) - 1][0] == hl.EXISTS):
+            branches.pop()
+    return value

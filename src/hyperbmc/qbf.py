@@ -115,12 +115,9 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     `variables` with others, that child is an OR under an existential (an
     AND under a universal), and at least two of its own children mix them
     too, that child's children are the parts: ∃Q (G ∧ ∨ d) = ∨ ∃Q (G ∧ d),
-    so the whole body is never built. A part without Q needs no product:
-    G is over Q alone, so ∃Q (G ∧ d) = d ∧ ∃Q G, which is d unless G is
-    unsatisfiable; an unsatisfiable G makes the whole stop FALSE. Dually
-    under a universal, with conjuncts, a guard joined by OR and a valid
-    guard making the stop TRUE. Otherwise the one part is the last mixed
-    child, or the last child over `variables` alone if none mixes.
+    so the whole body is never built. Dually under a universal, with
+    conjuncts and a guard joined by OR. Otherwise the one part is the last
+    mixed child, or the last child over `variables` alone if none mixes.
 
     Each node has a shape: the node up to a constant shift of its
     variables, with an offset. A variable's shape is its kind at offset
@@ -264,18 +261,12 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
             return mgr.copy(memo[ks[0]], *moved[key])
         if key in stops:
             # The quantifier stops here: the other children that mention its
-            # variables join into a guard, each part that mentions them meets
-            # the guard in one product, and the children without them are
-            # added last.
+            # variables join into a guard, each part meets the guard in one
+            # product, and the other children without them are added last.
             others, parts = stops[key]
             op, qop = (bdd.AND, bdd.OR) if mode == _EXISTS else (bdd.OR, bdd.AND)
             guard = mgr.join(op, [memo[3 * c] for c in others if masks[c] & qmask])
-            if guard == (bdd.FALSE if op == bdd.AND else bdd.TRUE):
-                return guard
-            node = mgr.join(qop, [
-                mgr.quantify(op, guard, memo[3 * d], variables) if masks[d] & qmask else memo[3 * d]
-                for d in parts
-            ])
+            node = mgr.join(qop, [mgr.quantify(op, guard, memo[3 * d], variables) for d in parts])
             return mgr.join(op, [node, *(memo[3 * c] for c in others if not masks[c] & qmask)])
         if k == ct.K_CONST:
             return n

@@ -51,8 +51,11 @@ def test_operations_match_truth_tables():
         assert bdd_table(mgr, f, n) == t1
         for op in (AND, OR):
             r = mgr.quantify(op, f, g, qvars)
-            want = fold(t1 & t2 if op == AND else t1 | t2, n, [(EXISTS if op == AND else FORALL, qvars)])
+            both = t1 & t2 if op == AND else t1 | t2
+            want = fold(both, n, [(EXISTS if op == AND else FORALL, qvars)])
             assert bdd_table(mgr, r, n) == want
+            # apply runs the same loop after quantify: no table may be shared
+            assert bdd_table(mgr, mgr.apply(op, f, g), n) == both
 
 
 def test_canonical_and_collect_keeps_pinned_functions():

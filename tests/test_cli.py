@@ -350,6 +350,17 @@ def test_deep_inputs_do_not_crash(capsys, tmp_path):
         capsys, "oracle", "--formula", "exists A. F !a[A]", *m, "-k", "1200", "--semantics", "pes",
     )
     assert code == 0 and out.strip() == "true"
+    # 1,200 quantifiers, in the witness re-check and in the oracle
+    one = tmp_path / "one.kr"
+    one.write_text("ap a; states s0; init s0; label s0 {a}; trans s0 -> s0;\n")
+    alternating = " ".join(f"{'forall' if i % 2 else 'exists'} A{i}." for i in range(1200)) + " a[A0]"
+    code, out, _ = run(capsys, "check", "--formula", alternating, "--model-default", str(one), "-k", "1")
+    assert code == 0 and "verdict: HOLDS" in out
+    existential = " ".join(f"exists A{i}." for i in range(1200)) + " a[A0]"
+    code, out, _ = run(
+        capsys, "oracle", "--formula", existential, "--model-default", str(one), "-k", "1", "--semantics", "pes",
+    )
+    assert code == 0 and out.strip() == "true"
     # parentheses too deep to parse are an input error
     deep = "exists A. " + "(" * 150 + "a[A]" + ")" * 150
     code, _, err = run(capsys, "check", "--formula", deep, *m, "-k", "2")

@@ -105,6 +105,18 @@ def test_dual_involution():
         assert dual(dual(sem)) == sem
 
 
+def test_unknown_semantics_rejected():
+    # an unknown name once fell through every bound rule and read as hopt
+    f = normalize(parse_formula("forall A. G a[A]"))
+    t = only_prefix(ONE_STATE_A, 1)
+    with pytest.raises(oracle.OracleError, match="unknown semantics"):
+        eval_body({"A": t}, 0, f.body, 1, "bogus")
+    with pytest.raises(oracle.OracleError, match="unknown semantics"):
+        check_bounded({"A": ONE_STATE_A}, f, 1, "bogus")
+    with pytest.raises(oracle.OracleError, match="unknown semantics"):
+        oracle.verify_witness({"A": t}, {"A": ONE_STATE_A}, f, 1, "bogus")
+
+
 def test_explosion_guard():
     wide = parse_kripke(
         "ap a; states s0 s1 s2 s3; init s0; label s0 {a}; label s1 {}; label s2 {a}; label s3 {}; "
@@ -301,3 +313,35 @@ def test_eval_body_deep_bound():
     # F !a holds at step 1, before the bound decides anything
     eventually = normalize(parse_formula("exists A. F !a[A]"))
     assert oracle.check_bounded(models, eventually, 1200, oracle.PES) is True
+
+
+def test_long_prefix_does_not_recurse(monkeypatch):
+    # the quantifiers were once walked by one recursion each, which raised
+    # RecursionError near 1,000 of them
+    models = {f"A{i}": ONE_STATE_A for i in range(1200)}
+    alternating = normalize(parse_formula(
+        " ".join(f"{'forall' if i % 2 else 'exists'} A{i}." for i in range(1200)) + " a[A0]"
+    ))
+    assert check_bounded(models, alternating, 1, PES) is True
+    t = only_prefix(ONE_STATE_A, 1)
+    assert oracle.verify_witness({"A0": t}, models, alternating, 1, PES) is True
+    existential = normalize(parse_formula(" ".join(f"exists A{i}." for i in range(1200)) + " a[A0]"))
+    assert check_bounded(models, existential, 1, PES) is True
+    # the walk stops at the first prefix that decides a quantifier, so
+    # neither check below evaluates all four pairs of prefixes
+    fork = parse_kripke(
+        "ap a; states s0 s1; init s0; label s0 {a}; label s1 {}; "
+        "trans s0 -> s0; trans s0 -> s1; trans s1 -> s1;"
+    )
+    calls = []
+    eval_body_ = oracle.eval_body
+    monkeypatch.setattr(oracle, "eval_body", lambda *a, **kw: calls.append(a) or eval_body_(*a, **kw))
+    # every pair holds, and A's first prefix decides exists A
+    f = normalize(parse_formula("exists A. forall B. X a[B] | a[A]"))
+    assert check_bounded({"A": fork, "B": fork}, f, 1, PES) is True
+    assert len(calls) == 2
+    # under A = s0 s0 the second B decides forall B, under A = s0 s1 the first
+    g = normalize(parse_formula("exists A. forall B. X a[A] & X a[B]"))
+    calls.clear()
+    assert check_bounded({"A": fork, "B": fork}, g, 1, PES) is False
+    assert len(calls) == 3
