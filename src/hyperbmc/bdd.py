@@ -128,7 +128,11 @@ class BDD:
                 h = out.pop()
                 r = out[-1]
                 if v < nq and qset[v]:
-                    r = out[-1] = self.apply(qop, r, h)
+                    # join the cofactors unless they are equal or one decides
+                    if h == unit:
+                        r = out[-1] = h
+                    elif r != h and r != unit:
+                        r = out[-1] = self.apply(qop, r, h)
                 elif r != h:  # _mk, inlined: this is the hot loop
                     table = unique[v]
                     key = r << shift | h
@@ -184,11 +188,17 @@ class BDD:
         The operands are folded deepest first (by top level, bottom up), so
         each apply walks the new operand down to a result that mostly lies
         below it, not the whole result again. An operand wholly above the
-        result, like a literal, adds one node per node of its own.
+        result, like a literal, adds one node per node of its own. The
+        constants sort first: a unit is skipped, and a zero is the result.
         """
-        node = TRUE if op == AND else FALSE
+        unit = node = TRUE if op == AND else FALSE
         for f in sorted(nodes, key=self.level.__getitem__, reverse=True):
-            node = self.apply(op, node, f)
+            if node == unit:
+                node = f
+            elif node == TRUE - unit:
+                break
+            else:
+                node = self.apply(op, node, f)
         return node
 
     def _trie(self, variables, leaves, low=0):

@@ -7,6 +7,14 @@ the remaining inner blocks on the resulting BDD, inner to outer, and is
 left with a BDD over the outer block. Its value is decided at once, and
 the outer witness (or countermodel) is that BDD's lowest path to the
 deciding terminal.
+
+Where the innermost block is one trace whose unrolling the circuit
+records, and the body reaches each next step through one link, that
+block is quantified by a backward pass over the trace's reachable
+states (_links, _backward): V_i(c) = F0 ∨ (F1 ∧ W) per step i and code
+c, with W the AND (∀) or OR (∃) of V_{i+1} over c's successors, so only
+the outer traces stay symbolic. Any other innermost block falls back to
+relational products at the quantifier's stops.
 """
 
 import os
@@ -92,6 +100,182 @@ def make_prenex(circuit, blocks, matrix, var_names) -> PrenexQBF:
 _PLAIN, _EXISTS, _FORALL = range(3)
 
 
+def _links(circ, stop, quant, qmask):
+    """The body that the innermost trace's guard meets at `stop`, one slice per step; or None.
+
+    `stop` is a node where the quantifier `quant` over the variables in
+    `qmask` stops. This applies where one of its operands is the guard of
+    a trace B whose variables are exactly `qmask`: B's recorded unrolling
+    (Circuit.unrollings) under an existential, its NOT under a universal.
+    The other operands are the roots of step 0. Below step i's roots, a
+    node without B's bits is an outer leaf; one that mentions B's bits of
+    step i is in step i's slice; one that mentions B's bits of later
+    steps only is the link, which is the root of step i+1.
+
+    Returns (B's unrolling, the slices, every outer leaf). A slice is
+    (roots, outer leaves, B leaves, AND/OR/NOT nodes in post-order, link,
+    the nodes of that order above the link); a B leaf (a table gate or a
+    variable) is (node, the places in B's window of the bits it reads, or
+    None where it reads the window as it is, its rows). The last slice
+    has no link. None where there is no such guard, where a step has a
+    second link, where a B leaf reads outer bits or another step, or
+    where the link sits under a NOT, so that each slice is monotone in
+    its link.
+    """
+    kinds, payloads, masks = circ.kinds, circ.payloads, circ.masks
+    for guard in payloads[stop]:
+        u = guard if quant == _EXISTS else payloads[guard] if kinds[guard] == ct.K_NOT else None
+        if u in circ.unrollings and masks[u] == qmask:
+            break
+    else:
+        return None
+    init, _, base, stride, steps = circ.unrollings[u]
+    window = circ.tables[init][0]
+    identity = tuple(range(len(window)))
+    roots = [c for c in payloads[stop] if c != guard]
+    slices, every, rowsets = [], set(), {}
+    seen = qmask  # B's bits of this step and later ones
+    for i in range(steps + 1):
+        at = base + i * stride
+        low = at + stride + window[0]
+        later = qmask >> low << low
+        now, earlier = seen ^ later, qmask ^ seen
+        outer, tests, order, link = [], [], [], None
+        done = set()
+        todo = list(roots)  # a node, or ~node once its children are done
+        while todo:
+            c = todo.pop()
+            if c < 0:
+                order.append(~c)
+                continue
+            if c in done:
+                continue
+            done.add(c)
+            b = masks[c] & qmask
+            k = kinds[c]
+            if not b:
+                outer.append(c)
+            elif b & earlier:
+                return None
+            elif not b & now:
+                if link is not None:
+                    return None  # a second link: give up at once
+                link = c
+            elif k == ct.K_VAR or k == ct.K_TABLE:
+                if masks[c] != b or b & later:
+                    return None
+                tid, tb = (-1, payloads[c]) if k == ct.K_VAR else payloads[c]
+                offsets, rows = circ.tables[tid] if tid >= 0 else ((0,), (1,))
+                spots = tuple(window.index(tb + o - at) for o in offsets)
+                if tid not in rowsets:
+                    rowsets[tid] = frozenset(rows)
+                tests.append((c, None if spots == identity else spots, rowsets[tid]))
+            elif k == ct.K_NOT:
+                if b & later:
+                    return None  # the link under a NOT
+                todo += (~c, payloads[c])
+            else:
+                todo.append(~c)
+                todo += payloads[c]
+        every.update(outer)
+        slices.append((roots, outer, tests, order, link, [c for c in order if masks[c] & later]))
+        if link is None:
+            break
+        roots, seen = [link], later
+    return u, slices, every
+
+
+def _backward(mgr, circ, chain, quant, memo):
+    """The stop of _links' `chain`: its body quantified over the trace B's reachable codes.
+
+    For each step i from the last slice back and each code c that B
+    reaches at step i on a path to the last step, V_i(c) is
+    F0 OR (F1 AND W). F0 and F1 are step i's slice with its link FALSE and
+    TRUE and its B leaves read at c: BDDs over the outer leaves (memo's
+    plain BDDs), built once per (step, values of the B leaves). W is the
+    AND (under a universal; the OR under an existential) of V_{i+1} over
+    c's successors, built once per set of successor BDDs. A slice is
+    monotone in its link, so this is the slice with its link read on
+    every suffix from c (on some). The last slice has no link: its V is
+    F0. The result is the AND (the OR) of V_0 over B's initial codes.
+    """
+    from . import bdd
+
+    kinds, payloads = circ.kinds, circ.payloads
+    join, copy = mgr.join, mgr.copy
+    u, slices, _ = chain
+    init, step, _, _, steps = circ.unrollings[u]
+    window, init_rows = circ.tables[init]
+    w = len(window)
+    succ = {}
+    for row in circ.tables[step][1]:
+        succ.setdefault(row & (1 << w) - 1, []).append(row >> w)
+    reach = [set(init_rows)]
+    for _ in range(steps):
+        reach.append({t for c in reach[-1] for t in succ.get(c, ())})
+    live = reach[steps]  # the codes of the last slice's step on a path to the last step
+    for i in reversed(range(len(slices) - 1, steps)):
+        live = {c for c in reach[i] if any(t in live for t in succ.get(c, ()))}
+    root_kind, wop = (ct.K_OR, bdd.AND) if quant == _FORALL else (ct.K_AND, bdd.OR)
+    joins, combined = {}, {}
+    values = {}  # code -> V at the step after this one
+
+    def gate(k, xs):
+        """The AND (k = K_AND) or OR of the BDDs xs; constants are folded here, the rest joined."""
+        unit = bdd.TRUE if k == ct.K_AND else bdd.FALSE
+        rest = []
+        for x in xs:
+            if x > bdd.TRUE:
+                rest.append(x)
+            elif x != unit:
+                return x
+        return join(bdd.AND if k == ct.K_AND else bdd.OR, rest) if len(rest) > 1 else rest[0] if rest else unit
+
+    def slice_pair(roots, outer, tests, order, link, relink, bits):
+        """(F0, F1) of a slice at the B leaves' values `bits`."""
+        vals = {n: memo[3 * n] for n in outer}
+        vals.update(zip([t[0] for t in tests], map(int, bits)))
+        pair = []
+        for value, nodes in ((bdd.FALSE, order), (bdd.TRUE, relink))[:1 + (link is not None)]:
+            vals[link] = value
+            for n in nodes:
+                if kinds[n] == ct.K_NOT:
+                    x = vals[payloads[n]]
+                    vals[n] = bdd.TRUE - x if x <= bdd.TRUE else copy(x, 0, True)
+                else:
+                    vals[n] = gate(kinds[n], [vals[d] for d in payloads[n]])
+            pair.append(gate(root_kind, [vals[r] for r in roots]))
+        return pair[0], pair[-1]
+
+    for i in reversed(range(len(slices))):
+        piece = slices[i]
+        tests, link = piece[2], piece[4]
+        if link is not None:
+            live = [c for c in reach[i] if any(t in values for t in succ.get(c, ()))]
+        pairs = {}  # the B leaves' values -> (F0, F1)
+        new = {}
+        for c in live:
+            bits = tuple((c if spots is None else sum((c >> s & 1) << j for j, s in enumerate(spots))) in rows
+                         for _, spots, rows in tests)
+            pair = pairs.get(bits)
+            if pair is None:
+                pair = pairs[bits] = slice_pair(*piece, bits)
+            f0, f1 = pair
+            if f0 == f1 or f0 == bdd.TRUE or f1 == bdd.FALSE:
+                new[c] = f0
+                continue
+            heads = frozenset(values[t] for t in succ[c] if t in values)
+            link_value = joins.get(heads)
+            if link_value is None:
+                link_value = joins[heads] = join(wop, heads)
+            v = combined.get((f0, f1, link_value))
+            if v is None:
+                v = combined[(f0, f1, link_value)] = gate(ct.K_OR, [f0, gate(ct.K_AND, [f1, link_value])])
+            new[c] = v
+        values = new
+    return join(wop, values.values())
+
+
 def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     """BDD of the circuit at root, with `variables` quantified by `quant` if given.
 
@@ -108,6 +292,20 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     `variables` with others. A nested gate over `variables` alone, or over
     none of them, stays one operand: the block's unrolling is then one
     BDD, like the outer traces' unrollings (see below).
+
+    A stop where `variables` are one trace B, whose recorded unrolling
+    (negated under a universal) is one of its operands, is one backward
+    pass over B's reachable codes if _links cuts the body into one slice
+    per step, each tied to the next by a single link outside any NOT.
+    For each step i from k down and each code c that B reaches there,
+    V_i(c) = F0 ∨ (F1 ∧ W): F0 and F1 are step i's slice with its link
+    FALSE and TRUE and B's labels at c, BDDs over the other traces' bits,
+    and W joins V_{i+1} over c's successors, by AND under a universal and
+    by OR under an existential. The stop is V_0 at B's initial code (see
+    _backward): the relational product of Burch, Clarke and Long (1991)
+    taken state by state, without B's path set or its negation. Every
+    other stop, such as a body with several links per step or a circuit
+    without records, falls back to the stop machinery below.
 
     Every stop is a split (Burch, Clarke, Long 1991): its other children
     that mention `variables` join into a guard G, and each part meets G in
@@ -215,6 +413,7 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     unrollings = circ.unrollings
     kids = {}
     stops = {}  # stop's key -> (the others, the parts) of its node (see above)
+    chains = {}  # stop's key -> the slices of its body, per step (see _links)
     first = {}  # shape -> the key of its first PLAIN node, which later ones copy
     moved = {}  # key of a copy -> (its shift from the copied key, whether it negates)
     order = []
@@ -240,8 +439,13 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
             stops[key] = ([], [n])  # one part: its plain BDD, quantified
             ks = (3 * n,)
         elif mode not in (_PLAIN, _FORALL if k == ct.K_AND else _EXISTS):  # ∃ over AND, ∀ over OR
-            others, parts = stops[key] = stop_operands(n)
-            ks = tuple(3 * c for c in others + parts)
+            chain = _links(circ, n, mode, qmask)
+            if chain is not None:
+                chains[key] = chain
+                ks = tuple(3 * c for c in sorted(chain[2]))
+            else:
+                others, parts = stops[key] = stop_operands(n)
+                ks = tuple(3 * c for c in others + parts)
         elif k in (ct.K_AND, ct.K_OR) and n not in unrollings:
             ks = tuple(key_of(c, mode) for c in payloads[n])
         else:
@@ -259,6 +463,8 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         ks = kids[key]
         if key in moved:
             return mgr.copy(memo[ks[0]], *moved[key])
+        if key in chains:
+            return _backward(mgr, circ, chains[key], mode, memo)
         if key in stops:
             # The quantifier stops here: the other children that mention its
             # variables join into a guard, each part meets the guard in one

@@ -514,8 +514,8 @@ def test_node_counts_in_declaration_and_chosen_order(monkeypatch):
     want = {
         "nonrep-incorrect": (43_377, 19_564),
         "nonrep-correct": (45_956, 18_987),
-        "bakery2": (4_970, 3_069),
-        "grid10": (12_734, 12_734),
+        "bakery2": (1_863, 1_276),
+        "grid10": (6_485, 6_485),
     }
     got = {}
     for name in want:

@@ -514,8 +514,10 @@ def test_split_fires_once_per_mixed_disjunct(monkeypatch):
 
 def test_single_mixed_disjunct_takes_one_product(monkeypatch):
     # The ∀∃ sweep stops at an AND with many mixed children, and shortest
-    # path's body has one mixed disjunct at the first step: neither splits.
-    from hyperbmc import oracle
+    # path's body has one mixed disjunct at the first step: under the stop
+    # machinery neither splits. The backward pass over the inner trace
+    # takes both and quantifies nothing.
+    from hyperbmc import oracle, qbf
     from hyperbmc.encoder import assemble_qbf
     from hyperbmc.hyperltl import normalize, parse_formula
     from hyperbmc.kripke import parse_kripke
@@ -528,13 +530,15 @@ def test_single_mixed_disjunct_takes_one_product(monkeypatch):
         (builtin_spec("shortest_path").formula, grid, 6, oracle.CLASSIC),
     ]
     calls = _count_calls(monkeypatch, "quantify")
-    for text, structure, k, sem in cases:
-        formula = normalize(parse_formula(text))
-        q = assemble_qbf(formula, {"A": structure, "B": structure}, k, sem)
-        assert len(q.blocks) == 2
-        calls[0] = 0
-        solve(q)
-        assert calls[0] == 1
+    for links, products in ((qbf._links, 0), (lambda *args: None, 1)):
+        monkeypatch.setattr(qbf, "_links", links)
+        for text, structure, k, sem in cases:
+            formula = normalize(parse_formula(text))
+            q = assemble_qbf(formula, {"A": structure, "B": structure}, k, sem)
+            assert len(q.blocks) == 2
+            calls[0] = 0
+            solve(q)
+            assert calls[0] == products
 
 
 def rand_cut_blocks(rng, n):
@@ -661,8 +665,9 @@ def test_unrolling_joined_once_per_model(monkeypatch):
     # as the product's guard either. Where the inner trace is universal
     # and only its guard, the NOT of its unrolling, is read (shortest
     # path), that guard is one negated copy of the outer unrolling, and no
-    # un-negated copy is made.
-    from hyperbmc import bdd, oracle
+    # un-negated copy is made; the backward pass over the inner trace
+    # makes neither, and reads no gate of the inner unrolling.
+    from hyperbmc import bdd, oracle, qbf
     from hyperbmc.encoder import assemble_qbf
     from hyperbmc.hyperltl import negate, normalize, parse_formula
     from hyperbmc.models import PAPER_GRID_10, builtin_spec, gen_grid, gen_nonrepudiation, parse_grid_map
@@ -693,13 +698,18 @@ def test_unrolling_joined_once_per_model(monkeypatch):
             return r
 
         monkeypatch.setattr(bdd.BDD, name, counted)
-    for formula, structure, k, sem, copies in cases:
-        q = assemble_qbf(formula, {v: structure for _, v in formula.prefix}, k, sem)
-        blocks = [frozenset(vs) for _, vs in q.blocks]
-        assert len(blocks) == 2
-        whole.update(dict.fromkeys(["paths", "copy", "negated copy", "join"], 0))
-        solve(q)
-        assert whole == {"paths": 1, "copy": copies, "negated copy": 1, "join": 0}
+    finder = qbf._links
+    for links in (finder, lambda *args: None):
+        monkeypatch.setattr(qbf, "_links", links)
+        for formula, structure, k, sem, copies in cases:
+            q = assemble_qbf(formula, {v: structure for _, v in formula.prefix}, k, sem)
+            blocks = [frozenset(vs) for _, vs in q.blocks]
+            assert len(blocks) == 2
+            whole.update(dict.fromkeys(["paths", "copy", "negated copy", "join"], 0))
+            solve(q)
+            # the pass takes shortest path, not non-repudiation (several links)
+            guards = 0 if links is finder and formula is shortest else 1
+            assert whole == {"paths": 1, "copy": copies, "negated copy": guards, "join": 0}
 
 
 def rand_chain(rng, c, lo):
@@ -792,14 +802,27 @@ def test_chain_guards_agree_with_naive_evaluator(rng, monkeypatch):
     # the others of its shape; a near miss is joined. So is an innermost
     # unrolling that the body's constant leaves as the quantifier's stop:
     # one paths call, then quantified, and none of its gates joined.
+    # Where the backward pass quantifies the innermost block, its
+    # unrolling is not built: only the outer blocks' shapes are.
+    from hyperbmc import qbf
+
     calls = _count_calls(monkeypatch, "paths")
-    built = kept = witnesses = stops = 0
+    passes = [0]
+    backward = qbf._backward
+
+    def counted(*args):
+        passes[0] += 1
+        return backward(*args)
+
+    monkeypatch.setattr(qbf, "_backward", counted)
+    built = kept = witnesses = stops = taken = 0
     for _ in range(400):
         q, shapes, constant = rand_chain_prenex(rng)
-        calls[0] = 0
+        calls[0] = passes[0] = 0
         r = solve(q)
-        distinct = set(shapes) - {None}
+        distinct = set(shapes[:-1] if passes[0] else shapes) - {None}
         assert calls[0] == len(distinct)
+        taken += passes[0]
         built += calls[0] > 0
         stops += constant and shapes[-1] is not None and shapes.count(shapes[-1]) == 1
         check_result(q, r)
@@ -809,6 +832,7 @@ def test_chain_guards_agree_with_naive_evaluator(rng, monkeypatch):
     assert kept >= 100
     assert witnesses >= 100
     assert stops >= 30
+    assert taken >= 10
 
 
 def test_unrecorded_unrolling_is_joined(monkeypatch):
