@@ -18,10 +18,11 @@ without any apply. So a caller builds a function that repeats at every
 step once and copies it to the other steps, and the NOT of such a copy
 is one pass, not two.
 relation() builds a BDD as a trie of rows, each an int whose bits are
-its variables' values, as a state's code is. paths() builds the paths
-through a transition table, an initial relation AND every step's
-relation, from the same tries in one backward pass over the reachable
-states, without an apply.
+its variables' values, as a state's code is. live_codes() walks a
+transition table: each step's codes on a path from an initial code to
+the last step. paths() builds the paths through the table, an initial
+relation AND every step's relation, from the same tries in one backward
+pass over those codes, without an apply; qbf._backward walks them too.
 Dead nodes stay in the arena until collect(), a mark-compact pass from
 the roots a caller pins; it renumbers the survivors, so a caller runs it
 between operations, never inside one: run() is that point. node_cap
@@ -47,6 +48,27 @@ GC_MIN_NODES = 1 << 17
 
 # Computed-table entries per operation before the table is dropped.
 CACHE_LIMIT = 1 << 20
+
+
+def live_codes(width, init_rows, step_rows, steps):
+    """(successor map, live codes per step) of a transition table over `width`-bit codes.
+
+    A step row holds a code in its low `width` bits and a successor above
+    them. live[i], for i in 0..steps, holds the codes that a path from
+    `init_rows` reaches at step i and that lie on a path to step `steps`,
+    in a dict ordered as a forward pass over the reached codes finds them.
+    """
+    mask = (1 << width) - 1
+    succ = {}
+    for row in step_rows:
+        succ.setdefault(row & mask, []).append(row >> width)
+    reach = [set(init_rows)]
+    for _ in range(steps):
+        reach.append({t for c in reach[-1] for t in succ.get(c, ())})
+    live = [dict.fromkeys(reach[steps])]
+    for codes in reversed(reach[:steps]):
+        live.append(dict.fromkeys(c for c in codes if any(t in live[-1] for t in succ.get(c, ()))))
+    return succ, live[::-1]
 
 
 class NodeCapError(Exception):
@@ -236,36 +258,28 @@ class BDD:
         and the bits above them the second's: relation(init) AND every
         step's relation relocated by i·stride, without building either.
 
-        A forward pass lists the codes reachable at each step. A backward
-        pass then makes, for each reachable code at step i, the set of its
-        suffixes: at the last step TRUE, before it the trie over step
-        i+1's window whose leaves are the code's successors' suffix sets,
-        FALSE without successors. The root is the trie over step 0 with
-        the initial codes' suffix sets as leaves. So a node is made only
-        where the result reaches it, once per distinct suffix function.
+        live_codes lists each step's codes on a path to the last step. A
+        backward pass then makes, for each live code at step i, the set of
+        its suffixes: at the last step TRUE, before it the trie over step
+        i+1's window whose leaves are its live successors' suffix sets.
+        The root is the trie over step 0 with the live initial codes'
+        suffix sets as leaves. So a node is made only where the result
+        reaches it, once per distinct suffix function.
         """
         w = len(window)
-        mask = (1 << w) - 1
-        succ = {}
-        for row in step_rows:
-            succ.setdefault(row & mask, []).append(row >> w)
-        reach = [set(init_rows)]
-        for _ in range(steps):
-            reach.append({t for c in reach[-1] for t in succ.get(c, ())})
-        suffix = dict.fromkeys(reach[steps], TRUE)
-        # suffix holds only the codes whose suffix set is not FALSE: a
-        # FALSE leaf adds nothing to a trie
+        succ, live = live_codes(w, init_rows, step_rows, steps)
+        suffix = dict.fromkeys(live[steps], TRUE)
         for i in reversed(range(steps)):
-            leaves = {c | t << w: suffix[t] for c in reach[i] for t in succ.get(c, ()) if t in suffix}
+            leaves = {c | t << w: suffix[t] for c in live[i] for t in succ[c] if t in live[i + 1]}
             suffix = self._trie([base + (i + 1) * stride + o for o in window], leaves, w)
-        leaves = {c: suffix[c] for c in init_rows if c in suffix}
-        return self._trie([base + o for o in window], leaves).get(0, FALSE)
+        return self._trie([base + o for o in window], suffix).get(0, FALSE)
 
     def copy(self, f, shift, negate):
         """f remade node for node, every level moved by `shift` and negated if `negate`; else f.
 
         A constant shift keeps the order of the levels, and swapped
         terminals stay apart, so the copy is reduced and ordered as it is.
+        A constant's copy is the constant, swapped if `negate`.
         """
         if not (shift or negate):
             return f
@@ -303,12 +317,6 @@ class BDD:
             todo.append((hi[x], -1))
             todo.append((lo[x], -1))
         return out[0]
-
-    def exists(self, f, variables):
-        return self.quantify(AND, f, TRUE, variables)
-
-    def forall(self, f, variables):
-        return self.quantify(OR, f, FALSE, variables)
 
     def quantify(self, op, f, g, variables):
         """Quantify `variables` out of op(f, g) without building op(f, g) first.

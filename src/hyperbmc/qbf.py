@@ -189,15 +189,19 @@ def _backward(mgr, circ, chain, quant, memo):
     """The stop of _links' `chain`: its body quantified over the trace B's reachable codes.
 
     For each step i from the last slice back and each code c that B
-    reaches at step i on a path to the last step, V_i(c) is
+    reaches at step i on a path to the last step (bdd.live_codes, the walk
+    that BDD.paths makes of the same table), V_i(c) is
     F0 OR (F1 AND W). F0 and F1 are step i's slice with its link FALSE and
     TRUE and its B leaves read at c: BDDs over the outer leaves (memo's
     plain BDDs), built once per (step, values of the B leaves). W is the
     AND (under a universal; the OR under an existential) of V_{i+1} over
-    c's successors, built once per set of successor BDDs. A slice is
+    c's live successors, built once per set of successor BDDs. A slice is
     monotone in its link, so this is the slice with its link read on
     every suffix from c (on some). The last slice has no link: its V is
     F0. The result is the AND (the OR) of V_0 over B's initial codes.
+    Every AND and OR goes through BDD.join and every NOT is a negated
+    BDD.copy, which fold the constants that the link and the B leaves
+    put into a slice.
     """
     from . import bdd
 
@@ -206,30 +210,10 @@ def _backward(mgr, circ, chain, quant, memo):
     u, slices, _ = chain
     init, step, _, _, steps = circ.unrollings[u]
     window, init_rows = circ.tables[init]
-    w = len(window)
-    succ = {}
-    for row in circ.tables[step][1]:
-        succ.setdefault(row & (1 << w) - 1, []).append(row >> w)
-    reach = [set(init_rows)]
-    for _ in range(steps):
-        reach.append({t for c in reach[-1] for t in succ.get(c, ())})
-    live = reach[steps]  # the codes of the last slice's step on a path to the last step
-    for i in reversed(range(len(slices) - 1, steps)):
-        live = {c for c in reach[i] if any(t in live for t in succ.get(c, ()))}
-    root_kind, wop = (ct.K_OR, bdd.AND) if quant == _FORALL else (ct.K_AND, bdd.OR)
+    succ, live = bdd.live_codes(len(window), init_rows, circ.tables[step][1], steps)
+    root_op, wop = (bdd.OR, bdd.AND) if quant == _FORALL else (bdd.AND, bdd.OR)
     joins, combined = {}, {}
     values = {}  # code -> V at the step after this one
-
-    def gate(k, xs):
-        """The AND (k = K_AND) or OR of the BDDs xs; constants are folded here, the rest joined."""
-        unit = bdd.TRUE if k == ct.K_AND else bdd.FALSE
-        rest = []
-        for x in xs:
-            if x > bdd.TRUE:
-                rest.append(x)
-            elif x != unit:
-                return x
-        return join(bdd.AND if k == ct.K_AND else bdd.OR, rest) if len(rest) > 1 else rest[0] if rest else unit
 
     def slice_pair(roots, outer, tests, order, link, relink, bits):
         """(F0, F1) of a slice at the B leaves' values `bits`."""
@@ -239,24 +223,21 @@ def _backward(mgr, circ, chain, quant, memo):
         for value, nodes in ((bdd.FALSE, order), (bdd.TRUE, relink))[:1 + (link is not None)]:
             vals[link] = value
             for n in nodes:
-                if kinds[n] == ct.K_NOT:
-                    x = vals[payloads[n]]
-                    vals[n] = bdd.TRUE - x if x <= bdd.TRUE else copy(x, 0, True)
+                k = kinds[n]
+                if k == ct.K_NOT:
+                    vals[n] = copy(vals[payloads[n]], 0, True)
                 else:
-                    vals[n] = gate(kinds[n], [vals[d] for d in payloads[n]])
-            pair.append(gate(root_kind, [vals[r] for r in roots]))
+                    vals[n] = join(bdd.AND if k == ct.K_AND else bdd.OR, [vals[d] for d in payloads[n]])
+            pair.append(join(root_op, [vals[r] for r in roots]))
         return pair[0], pair[-1]
 
     for i in reversed(range(len(slices))):
         piece = slices[i]
-        tests, link = piece[2], piece[4]
-        if link is not None:
-            live = [c for c in reach[i] if any(t in values for t in succ.get(c, ()))]
         pairs = {}  # the B leaves' values -> (F0, F1)
         new = {}
-        for c in live:
+        for c in live[i]:
             bits = tuple((c if spots is None else sum((c >> s & 1) << j for j, s in enumerate(spots))) in rows
-                         for _, spots, rows in tests)
+                         for _, spots, rows in piece[2])
             pair = pairs.get(bits)
             if pair is None:
                 pair = pairs[bits] = slice_pair(*piece, bits)
@@ -270,7 +251,7 @@ def _backward(mgr, circ, chain, quant, memo):
                 link_value = joins[heads] = join(wop, heads)
             v = combined.get((f0, f1, link_value))
             if v is None:
-                v = combined[(f0, f1, link_value)] = gate(ct.K_OR, [f0, gate(ct.K_AND, [f1, link_value])])
+                v = combined[(f0, f1, link_value)] = join(bdd.OR, [f0, join(bdd.AND, [f1, link_value])])
             new[c] = v
         values = new
     return join(wop, values.values())
@@ -303,9 +284,12 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     and W joins V_{i+1} over c's successors, by AND under a universal and
     by OR under an existential. The stop is V_0 at B's initial code (see
     _backward): the relational product of Burch, Clarke and Long (1991)
-    taken state by state, without B's path set or its negation. Every
-    other stop, such as a body with several links per step or a circuit
-    without records, falls back to the stop machinery below.
+    taken state by state, without B's path set or its negation. The codes
+    and successors come from the walk that builds an unrolling's path set
+    (bdd.live_codes), and the slices are built by the same joins and
+    copies as every other gate. Every other stop, such as a body with
+    several links per step or a circuit without records, falls back to
+    the stop machinery below.
 
     Every stop is a split (Burch, Clarke, Long 1991): its other children
     that mention `variables` join into a guard G, and each part meets G in
@@ -525,7 +509,8 @@ def solve(q: PrenexQBF, node_cap: int = DEFAULT_NODE_CAP) -> SolveResult:
     pinned = {}
 
     def eliminate(quant, variables):
-        return (mgr.exists if quant == EXISTS else mgr.forall)(pinned["f"], variables)
+        op, unit = (bdd.AND, bdd.TRUE) if quant == EXISTS else (bdd.OR, bdd.FALSE)
+        return mgr.quantify(op, pinned["f"], unit, variables)
 
     try:
         if len(q.blocks) == 1:

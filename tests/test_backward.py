@@ -25,6 +25,14 @@ from conftest import COMPLETE_KR, check_result, permuted, rand_instance
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 AE = "forall A. exists B. G (a[A] <-> a[B])"
+# symmetry on three-process bakery: the two-process formula, with P2's
+# propositions agreeing on both traces
+SYMMETRY3 = (
+    "forall A. exists B. G ((selectP0[A] <-> selectP1[B]) & (selectP1[A] <-> selectP0[B])"
+    " & (pause[A] <-> pause[B]) & (pcP0_0[A] <-> pcP1_0[B]) & (pcP0_1[A] <-> pcP1_1[B])"
+    " & (pcP1_0[A] <-> pcP0_0[B]) & (pcP1_1[A] <-> pcP0_1[B])"
+    " & (selectP2[A] <-> selectP2[B]) & (pcP2_0[A] <-> pcP2_0[B]) & (pcP2_1[A] <-> pcP2_1[B]))"
+)
 
 
 @pytest.fixture(params=["default", "small"])
@@ -102,6 +110,9 @@ def _bundled_cases():
         yield f"grid10 seed {seed}", shortest, {"A": grid, "B": grid}, 20, oracle.CLASSIC
     for k in range(6):
         yield f"bakery2 k={k}", symmetry, {"A": bakery, "B": bakery}, k, oracle.PES
+    bakery3 = gen_bakery(3)
+    for k in range(1, 5):
+        yield f"bakery3 k={k}", negate(parse_formula(SYMMETRY3)), {"A": bakery3, "B": bakery3}, k, oracle.PES
     for k in range(5):
         for sem in (oracle.PES, oracle.OPT):
             yield f"mutation k={k} {sem}", mutation, {"A": mutant, "B": original}, k, sem

@@ -5,7 +5,7 @@ from operator import and_, or_
 
 import pytest
 
-from hyperbmc.bdd import AND, BDD, FALSE, OR, TRUE, NodeCapError
+from hyperbmc.bdd import AND, BDD, FALSE, OR, TRUE, NodeCapError, live_codes
 from hyperbmc.circuit import Circuit
 from hyperbmc.qbf import EXISTS, FORALL, ResourceLimitError, make_prenex, solve
 
@@ -131,9 +131,15 @@ def test_join_is_independent_of_operand_order():
         operands = [build(mgr, rand_expr(rng, n, 3)) for _ in range(rng.randint(1, 5))]
         literals = [mgr.var(rng.randrange(n)) for _ in range(rng.randint(0, 3))]
         operands += [mgr.copy(x, 0, True) if rng.random() < 0.5 else x for x in literals]
+        # constants, some as copies: a copy of one, moved or not, is the
+        # constant, negated if asked
+        constants = [(rng.choice((TRUE, FALSE)), rng.random() < 0.5) for _ in range(rng.randint(0, 2))]
+        values = operands + [c ^ negate for c, negate in constants]
+        operands += [mgr.copy(c, rng.choice((0, 0, 3)), negate) if rng.random() < 0.7 else c ^ negate
+                     for c, negate in constants]
         for op in (AND, OR):
             folded = TRUE if op == AND else FALSE
-            for f in operands:
+            for f in values:
                 folded = mgr.apply(op, folded, f)
             for _ in range(4):
                 rng.shuffle(operands)
@@ -331,3 +337,34 @@ def test_paths_is_the_fold_of_relocated_steps():
     mgr = BDD()
     assert mgr.paths((0, 2), [0b11], [0b1100, 0b1110], 0, 3, 1) == FALSE
     assert mgr.paths((0, 2), [0b11], [0b1100], 0, 3, 0) == mgr.relation([0, 2], [0b11])
+
+
+def test_live_codes_are_the_codes_on_enumerated_paths():
+    # every path of `steps` steps from an initial code, enumerated: the
+    # codes at step i on one of them are live[i], whatever dead ends,
+    # unreached codes or initial codes without successors the table has
+    rng = random.Random(29)
+    seen = {"dead end": 0, "unreached": 0, "initial without successors": 0}
+    steps_seen = set()
+    for _ in range(400):
+        window, _, init_rows, step_rows = rand_path_table(rng)
+        w = len(window)
+        steps = rng.randint(0, 5)
+        succ, live = live_codes(w, init_rows, step_rows, steps)
+        pairs = {(row & (1 << w) - 1, row >> w) for row in step_rows}
+        assert {c: sorted(ts) for c, ts in succ.items()} == {
+            c: sorted(t for s, t in pairs if s == c) for c, _ in pairs}
+        paths = [(c,) for c in set(init_rows)]
+        reached = [set(init_rows)]
+        for _ in range(steps):
+            paths = [p + (t,) for p in paths for s, t in sorted(pairs) if s == p[-1]]
+            reached.append({t for s, t in pairs if s in reached[-1]})
+        assert len(live) == steps + 1
+        for i in range(steps + 1):
+            assert set(live[i]) == {p[i] for p in paths}
+        steps_seen.add(steps)
+        seen["dead end"] += any(reached[i] - set(live[i]) for i in range(steps + 1))
+        seen["unreached"] += any(all(c not in r for r in reached) for pair in pairs for c in pair)
+        seen["initial without successors"] += steps > 0 and any(c not in succ for c in init_rows)
+    assert steps_seen == set(range(6))
+    assert min(seen.values()) >= 30, seen
