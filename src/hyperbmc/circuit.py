@@ -10,8 +10,9 @@ duplicates or the unit; it folds on the absorbing constant and on x with
 NOT x. A nested gate of its own kind stays one operand, so an unrolled
 G, each step a gate over the next, grows linearly in the bound.
 
-Every node carries the bitmask of variables in its support, which lets
-cofactoring skip entire subDAGs that do not mention the variable.
+Every node carries the bitmask of variables in its support: the solver
+places its innermost quantifier and finds its links by the masks, and
+cofactors (called only by tests) skip subDAGs without the variable.
 
 Node kinds: constants, variables, NOT, AND and OR gates, and table gates.
 A table is a relation over fixed offsets, registered once per circuit
@@ -24,7 +25,7 @@ evaluate looks a table gate's code up among its rows; cofactors (and so
 restrict) expand it into AND/OR gates.
 
 Each unrolling that `unrolling` makes, an initial table AND a transition
-table at every step, is recorded, so the solver looks it up.
+table at every step, is recorded unless constant, so the solver looks it up.
 """
 
 FALSE = 0
@@ -48,7 +49,7 @@ class Circuit:
         self._intern = {}
         self.tables = []  # table id -> (ascending offsets, sorted tuple of int rows)
         self._table_ids = {}
-        self.unrollings = {}  # AND gate -> the arguments of the unrolling call that made it
+        self.unrollings = {}  # node -> the arguments of the unrolling call that made it
 
     def __len__(self):
         return len(self.kinds)
@@ -129,7 +130,7 @@ class Circuit:
         return self._mk(K_TABLE, (tid, base), sum(1 << (base + o) for o in offsets))
 
     def unrolling(self, init, step, base, stride, steps):
-        """AND of table init at base and table step at base + i·stride, i < steps; recorded if an AND.
+        """AND of table init at base and table step at base + i·stride, i < steps; recorded unless constant.
 
         step's offsets must be init's, W, then W + stride, with stride past
         W's span. qbf._compile builds a recorded unrolling as one path set.
@@ -140,7 +141,7 @@ class Circuit:
         gates = [self.table_gate(init, base)]
         gates += [self.table_gate(step, base + i * stride) for i in range(steps)]
         n = self.and_(gates)
-        if self.kinds[n] == K_AND:
+        if n not in (FALSE, TRUE):
             self.unrollings[n] = (init, step, base, stride, steps)
         return n
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from . import hyperltl as hl
 from . import oracle, qbf
 from .encoder import assemble_qbf, build_layout, state_orders
-from .kripke import KripkeStructure, TracePrefix, make_prefix, validate
+from .kripke import HALT_AP, KripkeStructure, TracePrefix, make_prefix, validate
 
 HOLDS = "HOLDS"
 FAILS = "FAILS"
@@ -154,7 +154,7 @@ def _validate_aps(formula, models):
     for var, aps in hl.aps_read(formula.body).items():
         declared = set(models[var].aps)
         for ap in sorted(aps):
-            if ap != "@halt" and ap not in declared:
+            if ap != HALT_AP and ap not in declared:
                 raise ConfigError(
                     f"formula mentions {ap!r} on trace variable {var!r}, "
                     f"which its model does not declare"

@@ -123,7 +123,7 @@ def _links(circ, stop, quant, qmask):
     its link.
     """
     kinds, payloads, masks = circ.kinds, circ.payloads, circ.masks
-    for guard in payloads[stop]:
+    for guard in circ.children(stop):
         u = guard if quant == _EXISTS else payloads[guard] if kinds[guard] == ct.K_NOT else None
         if u in circ.unrollings and masks[u] == qmask:
             break
@@ -260,46 +260,43 @@ def _backward(mgr, circ, chain, quant, memo):
 def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     """BDD of the circuit at root, with `variables` quantified by `quant` if given.
 
-    The quantifier is pushed down the circuit before any BDD is built: a
-    universal distributes over AND and an existential over OR, NOT flips
-    it, and children that do not mention `variables` stay outside it.
-    Where it stops (an existential over AND, a universal over OR, and a
-    variable, a table gate or an unrolling under either), the children
-    that do mention them are quantified in relational products (see
-    below). So a block's quantifier meets its own unrolling and the
-    body, never the unrollings of outer traces. A gate keeps its operands
-    as built (circuit.py), so a stop's children, and the split body's
-    below, are read through the nested gates of the same kind that mix
-    `variables` with others. A nested gate over `variables` alone, or over
-    none of them, stays one operand: the block's unrolling is then one
-    BDD, like the outer traces' unrollings (see below).
+    The quantifier is pushed down the circuit before any BDD is built, by
+    early quantification (Burch, Clarke, Long 1991): operands that do not
+    mention `variables` stay outside it. Under it, a node is one of three
+    cases. A NOT flips it. It passes an AND or OR that is not a recorded
+    unrolling where it distributes (a universal over AND, an existential
+    over OR), or where exactly one operand mentions `variables` and also
+    reads other bits; the other operands are built plain. Anything else
+    is a stop: a gate with two operands over `variables`, or whose one
+    such operand reads them alone (the block's guard, beside a body that
+    never reads the block), a variable, a table gate or an unrolling. So
+    a block's quantifier meets its own unrolling and the body, never the
+    unrollings of outer traces. A gate keeps its operands as built
+    (circuit.py), so a stop's children, and the split body's below, are
+    read through the nested gates of the same kind that mix `variables`
+    with others. A nested gate over `variables` alone, or over none of
+    them, stays one operand: the block's unrolling is then one BDD, like
+    the outer traces' unrollings (see below).
 
     A stop where `variables` are one trace B, whose recorded unrolling
     (negated under a universal) is one of its operands, is one backward
-    pass over B's reachable codes if _links cuts the body into one slice
-    per step, each tied to the next by a single link outside any NOT.
-    For each step i from k down and each code c that B reaches there,
-    V_i(c) = F0 ∨ (F1 ∧ W): F0 and F1 are step i's slice with its link
-    FALSE and TRUE and B's labels at c, BDDs over the other traces' bits,
-    and W joins V_{i+1} over c's successors, by AND under a universal and
-    by OR under an existential. The stop is V_0 at B's initial code (see
-    _backward): the relational product of Burch, Clarke and Long (1991)
-    taken state by state, without B's path set or its negation. The codes
-    and successors come from the walk that builds an unrolling's path set
-    (bdd.live_codes), and the slices are built by the same joins and
-    copies as every other gate. Every other stop, such as a body with
-    several links per step or a circuit without records, falls back to
-    the stop machinery below.
+    pass over B's reachable codes (_backward) if _links cuts the body
+    into one slice per step, each tied to the next by a single link
+    outside any NOT: the relational product of Burch, Clarke and Long
+    (1991) taken state by state, without B's path set or its negation.
+    Every other stop, such as a body with several links per step or a
+    circuit without records, is a split.
 
-    Every stop is a split (Burch, Clarke, Long 1991): its other children
-    that mention `variables` join into a guard G, and each part meets G in
-    a product of its own. If exactly one child of the stop mixes
-    `variables` with others, that child is an OR under an existential (an
-    AND under a universal), and at least two of its own children mix them
-    too, that child's children are the parts: ∃Q (G ∧ ∨ d) = ∨ ∃Q (G ∧ d),
-    so the whole body is never built. Dually under a universal, with
-    conjuncts and a guard joined by OR. Otherwise the one part is the last
-    mixed child, or the last child over `variables` alone if none mixes.
+    A split's other children that mention `variables` join into a guard
+    G, and each part meets G in a relational product of its own. If
+    exactly one child of the stop mixes `variables` with others, that
+    child is an OR under an existential (an AND under a universal), and
+    at least two of its own children mix them too, that child's children
+    are the parts: ∃Q (G ∧ ∨ d) = ∨ ∃Q (G ∧ d), so the whole body is never
+    built. Dually under a universal, with conjuncts and a guard joined by
+    OR. Otherwise the one part is the last mixed child, or the last child
+    over `variables` alone if none mixes; a variable, a table gate or an
+    unrolling is its own one part, with no guard.
 
     Each node has a shape: the node up to a constant shift of its
     variables, with an offset. A variable's shape is its kind at offset
@@ -323,15 +320,11 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     made, and no shape equals a descendant's, so it is built first.
 
     An AND gate that circ.unrollings records (see Circuit.unrolling: an
-    initial state and m steps of a transition relation) is one BDD.paths
+    initial state and m > 0 steps of a transition relation) is one BDD.paths
     call on the tables' rows as they stand (a step row's low |W| bits are
     its values on W), which makes only the nodes its result reaches; its
-    step gates are never built. Every other AND and OR joins its
-    operands. A variable, a table gate or an unrolling under a quantifier
-    is a stop too, with itself as its one part and no guard: its plain
-    BDD is quantified, so an unrolling that is itself the quantifier's
-    stop (when the body folds to a constant) is not joined from its gates
-    either.
+    step gates are never built, not even where it is a stop (when the
+    body folds to a constant). Every other AND and OR joins its operands.
 
     Shapes take one pass over the arena in id order (children first).
     The circuit is then walked twice without recursion: once to list each
@@ -342,7 +335,7 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     """
     from . import bdd
 
-    kinds, payloads, masks = circ.kinds, circ.payloads, circ.masks
+    kinds, payloads, masks, unrollings = circ.kinds, circ.payloads, circ.masks, circ.unrollings
     qmask = 0
     for v in variables:
         qmask |= 1 << v
@@ -366,9 +359,19 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
                     todo.append(c)
         return sorted(out)
 
+    def gate(n):
+        return kinds[n] in (ct.K_AND, ct.K_OR) and n not in unrollings
+
+    def passes(n, mode):
+        """Whether the quantifier `mode` moves past the gate n to its operands (see above)."""
+        if mode in (_PLAIN, _FORALL if kinds[n] == ct.K_AND else _EXISTS):
+            return True
+        over = [c for c in payloads[n] if masks[c] & qmask]
+        return len(over) == 1 and mixes(over[0])
+
     def stop_operands(n):
         """(the others, the parts) of a stop: each part gets a product of its own (see above)."""
-        own = operands(n)
+        own = operands(n) if gate(n) else [n]
         mixed = [c for c in own if mixes(c)]
         if len(mixed) == 1 and kinds[mixed[0]] == (ct.K_OR if kinds[n] == ct.K_AND else ct.K_AND):
             parts = operands(mixed[0])
@@ -394,7 +397,6 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
             s = (k, *sorted((shape[c], off[c] - o) for c in p))
         shape[n] = shapes.setdefault(s, len(shapes))
 
-    unrollings = circ.unrollings
     kids = {}
     stops = {}  # stop's key -> (the others, the parts) of its node (see above)
     chains = {}  # stop's key -> the slices of its body, per step (see _links)
@@ -419,10 +421,9 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         elif k == ct.K_NOT:
             moved[key] = (0, True)
             ks = (key_of(m, flip[mode]),)
-        elif mode != _PLAIN and (k in (ct.K_VAR, ct.K_TABLE) or n in unrollings):
-            stops[key] = ([], [n])  # one part: its plain BDD, quantified
-            ks = (3 * n,)
-        elif mode not in (_PLAIN, _FORALL if k == ct.K_AND else _EXISTS):  # ∃ over AND, ∀ over OR
+        elif gate(n) and passes(n, mode):
+            ks = tuple(key_of(c, mode) for c in payloads[n])
+        elif mode != _PLAIN:  # the quantifier stops here
             chain = _links(circ, n, mode, qmask)
             if chain is not None:
                 chains[key] = chain
@@ -430,8 +431,6 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
             else:
                 others, parts = stops[key] = stop_operands(n)
                 ks = tuple(3 * c for c in others + parts)
-        elif k in (ct.K_AND, ct.K_OR) and n not in unrollings:
-            ks = tuple(key_of(c, mode) for c in payloads[n])
         else:
             ks = ()
         kids[key] = ks

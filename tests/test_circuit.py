@@ -146,5 +146,9 @@ def test_unrolling_refuses_tables_that_do_not_unroll():
     n = c.unrolling(init, step, 1, 3, 2)
     assert c.unrollings == {n: (init, step, 1, 3, 2)}
     assert n == c.and_([c.table_gate(init, 1), c.table_gate(step, 1), c.table_gate(step, 4)])
-    assert c.unrolling(init, step, 1, 3, 0) == c.table_gate(init, 1)  # no AND, no record
-    assert list(c.unrollings) == [n]
+    zero = c.unrolling(init, step, 1, 3, 0)
+    assert zero == c.table_gate(init, 1)  # one gate, recorded all the same
+    assert c.unrollings == {n: (init, step, 1, 3, 2), zero: (init, step, 1, 3, 0)}
+    one_state = c.table((), [0])  # a one-state model's tables fold to TRUE: no record
+    assert c.unrolling(one_state, one_state, 7, 1, 3) == TRUE
+    assert list(c.unrollings) == [n, zero]
