@@ -71,8 +71,9 @@ class Verdict:
     fragment_hint: str
     checked_negation: bool
     # "verified": `witness` holds the solver's witness, re-checked by the
-    # oracle; "unverified": the solver found one, but the oracle's explosion
-    # guard stopped the re-check, so `witness` is None; None: no witness.
+    # backward tableau (recheck.py) when one quantifier block is left, else
+    # by the oracle; "unverified": the solver found one, but that re-check's
+    # explosion guard stopped it, so `witness` is None; None: no witness.
     witness_status: str | None = None
 
 
@@ -206,12 +207,18 @@ def _report(cfg: CheckConfig, checked, hint: str, bound: _Bound) -> Verdict:
         traces = {}
         for _, var in checked.prefix[:n_outer]:
             traces[var] = extract_witness(result.outer_witness or {}, layout, var, cfg.models[var])
+        # One residual block is re-checked by the backward tableau, more
+        # by enumerating the residual prefixes.
+        if len({q_ for q_, _ in checked.prefix[n_outer:]}) <= 1:
+            from . import recheck
+
+            verify = recheck.verify_witness
+        else:
+            verify = oracle.verify_witness
         try:
-            confirmed = oracle.verify_witness(
-                traces, cfg.models, checked, k, cfg.semantics, cfg.paper_literal
-            )
+            confirmed = verify(traces, cfg.models, checked, k, cfg.semantics, cfg.paper_literal)
         except oracle.ExplosionGuardError:
-            # Too many residual prefixes to re-check; the decoded paths are
+            # The re-check's explosion guard fired; the decoded paths are
             # still structure-valid, but an unverified witness is never
             # reported, only its status.
             traces = None
@@ -252,11 +259,12 @@ def check(cfg: CheckConfig) -> Verdict:
     reported only where the sweep would report kMax, and a probe that
     hits a limit is not known, so the sweep goes on without it.
 
-    Any reported witness has been re-verified against the brute-force
-    evaluator first; a failed re-verification raises InvalidWitnessError
-    instead of reporting, since it can only mean an internal bug. Every
-    bound solved in sweep order is re-checked this way, the probe only
-    when it is reported.
+    Any reported witness has been re-verified first: by the backward
+    tableau of recheck.py when at most one quantifier block is left once
+    the outer block is pinned, else by the brute-force evaluator. A failed
+    re-verification raises InvalidWitnessError instead of reporting, since
+    it can only mean an internal bug. Every bound solved in sweep order is
+    re-checked this way, the probe only when it is reported.
     """
     checked = prepare(cfg)
     hint = hl.classify_fragment(checked)

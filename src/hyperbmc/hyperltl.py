@@ -264,7 +264,7 @@ class _FormulaParser:
                 return FALSE
             if val in (FORALL, EXISTS):
                 raise FormulaSyntaxError("quantifier after body start", pos)
-            if val in _RESERVED and val != "@halt":
+            if val in _RESERVED:
                 self.error(f"reserved word {val!r} cannot name a proposition")
             self.next()
             self.expect("lb")

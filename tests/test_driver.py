@@ -1,9 +1,10 @@
 import dataclasses
 import random
+import re
 
 import pytest
 
-from hyperbmc import driver, oracle, qbf
+from hyperbmc import driver, oracle, qbf, recheck
 from hyperbmc import hyperltl as hl
 from hyperbmc.driver import (
     FAILS,
@@ -21,10 +22,10 @@ from hyperbmc.driver import (
 from hyperbmc.encoder import assemble_qbf, build_layout
 from hyperbmc.hyperltl import normalize, parse_formula
 from hyperbmc.kripke import enumerate_prefixes, parse_kripke
-from hyperbmc.models import builtin_spec, gen_bakery, gen_nonrepudiation
+from hyperbmc.models import PAPER_GRID_10, builtin_spec, gen_bakery, gen_grid, gen_nonrepudiation, parse_grid_map
 from hyperbmc.qbf import solve
 
-from conftest import COMPLETE_KR, halt_depth, rand_acyclic_halting, rand_body, rand_instance
+from conftest import COMPLETE_KR, bfs_distance, halt_depth, rand_acyclic_halting, rand_body, rand_instance
 
 AB_STATE = parse_kripke("ap a b; states s0; init s0; label s0 {a}; trans s0 -> s0;")
 CHAIN = parse_kripke(
@@ -87,9 +88,10 @@ def test_witness_status(monkeypatch):
     )
     v = check(cfg)
     assert (v.interpretation, v.witness_status) == (HOLDS, "verified")
-    # the explosion guard stops the re-check (B has one prefix, the cap is
-    # now below it): same verdict, witness withheld
+    # the tableau's explosion guard stops the re-check (its first entry is
+    # already past the cap): same verdict, witness withheld
     monkeypatch.setattr(oracle, "ENUMERATION_CAP", 0)
+    monkeypatch.setattr(oracle, "verify_witness", None)  # one block is left: never called
     v = check(cfg)
     assert (v.interpretation, v.k, v.qbf_value) == (HOLDS, 2, True)
     assert v.witness is None
@@ -99,6 +101,38 @@ def test_witness_status(monkeypatch):
                           k_from=0, k_max=1, semantics=oracle.PES))
     assert v.witness is None
     assert v.witness_status is None
+
+
+def test_grid10_plan_is_verified():
+    # B ranges over more prefixes than the oracle would enumerate; the
+    # tableau re-checks A's plan, which is reported
+    width, height, obstacles, inits, goals = parse_grid_map(PAPER_GRID_10)
+    grid = gen_grid(width, height, obstacles, inits, goals)
+    f = parse_formula(builtin_spec("shortest_path").formula)
+    v = check(CheckConfig(formula=f, models={"A": grid, "B": grid}, k_from=20, k_max=20,
+                          semantics=oracle.CLASSIC))
+    assert (v.k, v.qbf_value, v.witness_status) == (20, True, "verified")
+    cells = [tuple(map(int, re.match(r"c(\d+)_(\d+)_", s).groups())) for s in v.witness["A"].states]
+    assert cells[0] == inits[0]
+    for c, d in zip(cells, cells[1:]):
+        if c in goals:
+            assert d == c  # the goal absorbs
+        else:
+            assert abs(c[0] - d[0]) + abs(c[1] - d[1]) == 1
+            assert 0 <= d[0] < width and 0 <= d[1] < height and d not in obstacles
+    first = next(i for i, c in enumerate(cells) if c in goals)
+    assert first == bfs_distance(width, height, obstacles, inits[0], goals) == 16
+
+
+def test_two_residual_blocks_take_the_oracle(monkeypatch):
+    calls = []
+    real = oracle.verify_witness
+    monkeypatch.setattr(oracle, "verify_witness", lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(recheck, "verify_witness", None)
+    f = parse_formula("exists A. forall B. exists C. G (a[A] <-> a[C])")
+    v = check(CheckConfig(formula=f, models={"A": CHAIN, "B": CHAIN, "C": CHAIN}, k_from=2, k_max=2,
+                          semantics=oracle.OPT))
+    assert (v.qbf_value, v.witness_status, len(calls)) == (True, "verified", 1)
 
 
 def test_prove_mode_stays_unknown_for_safety_body():

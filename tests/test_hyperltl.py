@@ -138,6 +138,14 @@ def test_parse_halt_atom():
     assert f.body == Eventually(Atom("@halt", "A"))
 
 
+@pytest.mark.parametrize("word", ["U", "R", "W"])
+def test_reserved_word_is_no_proposition(word):
+    # @halt is a proposition, not a reserved word: it parses as an atom
+    assert parse_formula("exists A. @halt[A]").body == Atom("@halt", "A")
+    with pytest.raises(FormulaSyntaxError, match="reserved word"):
+        parse_formula(f"exists A. {word}[A]")
+
+
 def test_parse_duplicate_quantifier_rejected():
     with pytest.raises(hl.FormulaError):
         parse_formula("forall A. exists A. a[A]")
