@@ -23,6 +23,8 @@ transition table: each step's codes on a path from an initial code to
 the last step. paths() builds the paths through the table, an initial
 relation AND every step's relation, from the same tries in one backward
 pass over those codes, without an apply; qbf._backward walks them too.
+walk() finds the lowest path of those paths AND a given BDD by a
+depth-first walk of the same codes through that BDD, building neither.
 Dead nodes stay in the arena until collect(), a mark-compact pass from
 the roots a caller pins; it renumbers the survivors, so a caller runs it
 between operations, never inside one: run() is that point. node_cap
@@ -211,16 +213,21 @@ class BDD:
         each apply walks the new operand down to a result that mostly lies
         below it, not the whole result again. An operand wholly above the
         result, like a literal, adds one node per node of its own. The
-        constants sort first: a unit is skipped, and a zero is the result.
+        constants fold first: a unit is dropped and a zero is the result,
+        so a join of at most one other operand makes no apply.
         """
-        unit = node = TRUE if op == AND else FALSE
-        for f in sorted(nodes, key=self.level.__getitem__, reverse=True):
-            if node == unit:
-                node = f
-            elif node == TRUE - unit:
+        zero = FALSE if op == AND else TRUE
+        if zero in nodes:
+            return zero
+        nodes = list(filter(TRUE.__lt__, nodes))  # the non-constant ones
+        if len(nodes) < 2:
+            return nodes[0] if nodes else TRUE - zero
+        nodes.sort(key=self.level.__getitem__, reverse=True)
+        node = nodes[0]
+        for f in nodes[1:]:
+            node = self.apply(op, node, f)
+            if node == zero:
                 break
-            else:
-                node = self.apply(op, node, f)
         return node
 
     def _trie(self, variables, leaves, low=0):
@@ -274,6 +281,59 @@ class BDD:
             suffix = self._trie([base + (i + 1) * stride + o for o in window], leaves, w)
         return self._trie([base + o for o in window], suffix).get(0, FALSE)
 
+    def walk(self, f, target, window, init_rows, step_rows, base, stride, steps):
+        """The lowest path to `target` of paths(...) AND f, without building either: {level: value}.
+
+        The arguments after f and target are paths'. f is a BDD over the
+        steps' windows. None where no path of the table takes f to
+        `target`. A depth-first walk takes each step's live codes
+        (live_codes) in the order of their bits read from the lowest level
+        up, false before true, so the first path found is the one that
+        path() reads off the product. Each code restricts f by following
+        its bits down from f's node; a branch where f reaches the other
+        terminal is pruned, and where f reaches `target` the path goes on
+        by the least live successor at each step. A (step, code, node)
+        triple found dead is not walked again. The walk makes no node.
+        """
+        w = len(window)
+        succ, live = live_codes(w, init_rows, step_rows, steps)
+        spot = {o: j for j, o in enumerate(window)}
+        level, lo, hi = self.level, self.lo, self.hi
+        avoid = TRUE - target
+
+        def rank(c):
+            return format(c, f"0{w}b")[::-1]
+
+        def restrict(g, i, c):
+            at = base + i * stride
+            top = at + window[-1]
+            while level[g] <= top:
+                g = hi[g] if c >> spot[level[g] - at] & 1 else lo[g]
+            return g
+
+        dead = set()
+        codes = []  # the code taken at each step so far
+        stack = [(0, f, iter(sorted(live[0], key=rank)))]  # (step, f restricted by the steps before, codes left)
+        while stack:
+            i, g, left = stack[-1]
+            for c in left:
+                h = restrict(g, i, c)
+                if h != avoid and (i, c, h) not in dead:
+                    break
+            else:
+                stack.pop()
+                if codes:
+                    dead.add((i - 1, codes.pop(), g))
+                continue
+            codes.append(c)
+            if h == target:
+                for j in range(i + 1, steps + 1):
+                    codes.append(min((t for t in succ[codes[-1]] if t in live[j]), key=rank))
+                return {base + i * stride + o: bool(c >> j & 1)
+                        for i, c in enumerate(codes) for j, o in enumerate(window)}
+            stack.append((i + 1, h, iter(sorted((t for t in succ[c] if t in live[i + 1]), key=rank))))
+        return None
+
     def copy(self, f, shift, negate):
         """f remade node for node, every level moved by `shift` and negated if `negate`; else f.
 
@@ -281,6 +341,8 @@ class BDD:
         terminals stay apart, so the copy is reduced and ordered as it is.
         A constant's copy is the constant, swapped if `negate`.
         """
+        if f <= TRUE:
+            return f ^ negate
         if not (shift or negate):
             return f
         level, lo, hi, unique, bits = self.level, self.lo, self.hi, self._unique, self._shift

@@ -8,6 +8,15 @@ left with a BDD over the outer block. Its value is decided at once, and
 the outer witness (or countermodel) is that BDD's lowest path to the
 deciding terminal.
 
+Where the outer block is one trace whose recorded unrolling is a
+conjunct of the matrix (∃), or whose negated unrolling is a disjunct
+(∀), that unrolling's path set is never built: the solver compiles the
+other operand, F, and walks the trace's reachable codes through F
+(BDD.walk, _decide). The first run it finds is the lowest path that the
+path set AND F would give; without one, the value is the other one. An
+outer block of several traces, a root of another shape, or a circuit
+without records (a parsed QCIR document) keeps the path set.
+
 Where the innermost block is one trace whose unrolling the circuit
 records, and the body reaches each next step through one link, that
 block is quantified by a backward pass over the trace's reachable
@@ -100,6 +109,13 @@ def make_prenex(circuit, blocks, matrix, var_names) -> PrenexQBF:
 _PLAIN, _EXISTS, _FORALL = range(3)
 
 
+def _unrolled(circ, u):
+    """The recorded unrolling u as BDD.paths' arguments: (window, init rows, step rows, base, stride, steps)."""
+    init, step, base, stride, steps = circ.unrollings[u]
+    window, init_rows = circ.tables[init]
+    return window, init_rows, circ.tables[step][1], base, stride, steps
+
+
 def _links(circ, stop, quant, qmask):
     """The body that the innermost trace's guard meets at `stop`, one slice per step; or None.
 
@@ -129,8 +145,7 @@ def _links(circ, stop, quant, qmask):
             break
     else:
         return None
-    init, _, base, stride, steps = circ.unrollings[u]
-    window = circ.tables[init][0]
+    window, _, _, base, stride, steps = _unrolled(circ, u)
     identity = tuple(range(len(window)))
     roots = [c for c in payloads[stop] if c != guard]
     slices, every, rowsets = [], set(), {}
@@ -208,9 +223,8 @@ def _backward(mgr, circ, chain, quant, memo):
     kinds, payloads = circ.kinds, circ.payloads
     join, copy = mgr.join, mgr.copy
     u, slices, _ = chain
-    init, step, _, _, steps = circ.unrollings[u]
-    window, init_rows = circ.tables[init]
-    succ, live = bdd.live_codes(len(window), init_rows, circ.tables[step][1], steps)
+    window, init_rows, step_rows, _, _, steps = _unrolled(circ, u)
+    succ, live = bdd.live_codes(len(window), init_rows, step_rows, steps)
     root_op, wop = (bdd.OR, bdd.AND) if quant == _FORALL else (bdd.AND, bdd.OR)
     joins, combined = {}, {}
     values = {}  # code -> V at the step after this one
@@ -276,7 +290,7 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     read through the nested gates of the same kind that mix `variables`
     with others. A nested gate over `variables` alone, or over none of
     them, stays one operand: the block's unrolling is then one BDD, like
-    the outer traces' unrollings (see below).
+    the unrollings of the traces outside it (see below).
 
     A stop where `variables` are one trace B, whose recorded unrolling
     (negated under a universal) is one of its operands, is one backward
@@ -324,7 +338,9 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     call on the tables' rows as they stand (a step row's low |W| bits are
     its values on W), which makes only the nodes its result reaches; its
     step gates are never built, not even where it is a stop (when the
-    body folds to a constant). Every other AND and OR joins its operands.
+    body folds to a constant). The outermost trace's unrolling is not
+    compiled at all where solve walks it. Every other AND and OR joins its
+    operands.
 
     Shapes take one pass over the arena in id order (children first).
     The circuit is then walked twice without recursion: once to list each
@@ -466,9 +482,7 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
             offsets, rows = circ.tables[tid]
             return mgr.relation([base + o for o in offsets], rows)
         if n in unrollings:
-            init, step, base, stride, steps = unrollings[n]
-            window, init_rows = circ.tables[init]
-            return mgr.paths(window, init_rows, circ.tables[step][1], base, stride, steps)
+            return mgr.paths(*_unrolled(circ, n))
         return mgr.join(bdd.AND if k == ct.K_AND else bdd.OR, [memo[c] for c in ks])
 
     refs = dict.fromkeys(kids, 0)
@@ -495,7 +509,12 @@ def solve(q: PrenexQBF, node_cap: int = DEFAULT_NODE_CAP) -> SolveResult:
     then assigns every variable of that block (a model, respectively a
     countermodel, of the outer block): the lowest path of that BDD to
     TRUE, respectively FALSE, with variables off the path false.
-    node_cap bounds the live BDD nodes.
+
+    Where the outer block is one trace whose recorded unrolling u meets
+    the rest F at the root (_outer_unrolling), the BDD compiled is F's,
+    not u's AND (OR) F's, and BDD.walk finds that same lowest path by
+    walking u's reachable codes through F. node_cap bounds the live BDD
+    nodes.
     """
     if not q.blocks:
         return SolveResult(value=q.matrix == ct.TRUE, outer_witness=None)
@@ -504,31 +523,66 @@ def solve(q: PrenexQBF, node_cap: int = DEFAULT_NODE_CAP) -> SolveResult:
     # start-up where bytecode is not cached.
     from . import bdd
 
-    mgr = bdd.BDD(node_cap)
+    try:
+        return _decide(q, bdd.BDD(node_cap))
+    except bdd.NodeCapError as e:
+        raise ResourceLimitError(e.nodes) from None
+
+
+def _outer_unrolling(circ, root, quant, variables):
+    """(u, rest) where the root is u AND rest (∃) or NOT u OR rest (∀); else None.
+
+    u is the recorded unrolling (Circuit.unrollings) of the one trace that
+    makes up the outer block `variables`. A root that is u (NOT u) alone
+    has rest TRUE (FALSE).
+    """
+    kinds, payloads, masks = circ.kinds, circ.payloads, circ.masks
+    mask = sum(1 << v for v in variables)
+    kind, unit = (ct.K_AND, ct.TRUE) if quant == EXISTS else (ct.K_OR, ct.FALSE)
+    pairs = [(root, unit)]
+    if kinds[root] == kind and len(payloads[root]) == 2:
+        a, b = payloads[root]
+        pairs += [(a, b), (b, a)]
+    for guard, rest in pairs:
+        u = guard if quant == EXISTS else payloads[guard] if kinds[guard] == ct.K_NOT else None
+        if u in circ.unrollings and masks[u] == mask:
+            return u, rest
+    return None
+
+
+def _decide(q, mgr):
+    """solve(q) in the manager `mgr`, whose NodeCapError it lets through."""
+    from . import bdd
+
+    circ = q.circuit
+    outer_quant, outer_vars = q.blocks[0]
+    target = bdd.TRUE if outer_quant == EXISTS else bdd.FALSE
+    outer = _outer_unrolling(circ, q.matrix, outer_quant, outer_vars)
+    root = q.matrix if outer is None else outer[1]
     pinned = {}
 
     def eliminate(quant, variables):
         op, unit = (bdd.AND, bdd.TRUE) if quant == EXISTS else (bdd.OR, bdd.FALSE)
         return mgr.quantify(op, pinned["f"], unit, variables)
 
-    try:
-        if len(q.blocks) == 1:
-            f = _compile(q.circuit, mgr, q.matrix)
-        else:
-            quant, variables = q.blocks[-1]
-            mode = _EXISTS if quant == EXISTS else _FORALL
-            f = _compile(q.circuit, mgr, q.matrix, mode, variables)
-        for quant, variables in reversed(q.blocks[1:-1]):
-            pinned["f"] = f
-            f = mgr.run(pinned, eliminate, quant, variables)
-    except bdd.NodeCapError as e:
-        raise ResourceLimitError(e.nodes) from None
-    outer_quant, outer_vars = q.blocks[0]
-    target = bdd.TRUE if outer_quant == EXISTS else bdd.FALSE
+    if len(q.blocks) == 1:
+        f = _compile(circ, mgr, root)
+    else:
+        quant, variables = q.blocks[-1]
+        f = _compile(circ, mgr, root, _EXISTS if quant == EXISTS else _FORALL, variables)
+    for quant, variables in reversed(q.blocks[1:-1]):
+        pinned["f"] = f
+        f = mgr.run(pinned, eliminate, quant, variables)
     if f == bdd.TRUE - target:
+        path = None
+    elif outer is None:
+        path = mgr.path(f, target)
+    else:
+        path = mgr.walk(f, target, *_unrolled(circ, outer[0]))
+    if path is None:
         return SolveResult(value=outer_quant == FORALL, outer_witness=None)
     witness = dict.fromkeys(sorted(outer_vars), False)
-    witness.update(mgr.path(f, target))
+    witness.update(path)
     return SolveResult(value=outer_quant == EXISTS, outer_witness=witness)
 
 

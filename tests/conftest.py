@@ -8,6 +8,7 @@ from operator import and_, or_
 
 import pytest
 
+from hyperbmc import bdd
 from hyperbmc import circuit as ct
 from hyperbmc import hyperltl as hl
 from hyperbmc import oracle
@@ -388,3 +389,12 @@ def bfs_distance(width, height, obstacles, start, goals):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture(params=["default", "small"])
+def arena(request, monkeypatch):
+    """The BDD manager's collection threshold and cache limit: as shipped, or forced small."""
+    if request.param == "small":
+        monkeypatch.setattr(bdd, "GC_MIN_NODES", 4)
+        monkeypatch.setattr(bdd, "CACHE_LIMIT", 8)
+    return request.param

@@ -44,15 +44,6 @@ THREE_TRACES = (
 FOLDED = {"bakery2 k=0", "mutation k=0 pes", "complete k=0"}
 
 
-@pytest.fixture(params=["default", "small"])
-def arena(request, monkeypatch):
-    """The BDD manager's collection threshold and cache limit: as shipped, or forced small."""
-    if request.param == "small":
-        monkeypatch.setattr(bdd, "GC_MIN_NODES", 4)
-        monkeypatch.setattr(bdd, "CACHE_LIMIT", 8)
-    return request.param
-
-
 def _count(monkeypatch, name):
     """Patch qbf's function `name` to count its calls; returns the one-element count list."""
     calls = [0]

@@ -512,10 +512,10 @@ def _solver_nodes(monkeypatch, model, formula, sem, k, orders):
 def test_node_counts_in_declaration_and_chosen_order(monkeypatch):
     # the benchmark's seed-1 models at the largest bound each check solves
     want = {
-        "nonrep-incorrect": (43_377, 19_564),
-        "nonrep-correct": (45_956, 18_987),
-        "bakery2": (1_863, 1_276),
-        "grid10": (6_485, 6_485),
+        "nonrep-incorrect": (40_566, 16_823),
+        "nonrep-correct": (42_949, 16_001),
+        "bakery2": (1_524, 960),
+        "grid10": (578, 578),
     }
     got = {}
     for name in want:

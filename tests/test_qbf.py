@@ -657,16 +657,18 @@ def _support(mgr, f):
 
 
 def test_unrolling_joined_once_per_model(monkeypatch):
-    # Both traces unroll one model, so their unrollings are one shape: the
-    # first is built by one BDD.paths call over its k step gates, which
-    # makes only nodes its result reaches, and the other is a copy of it.
-    # Neither is a join of its k+1 table gates. The inner one stays one
-    # operand at the quantifier's stop, so its gates are not joined there
-    # as the product's guard either. Where the inner trace is universal
-    # and only its guard, the NOT of its unrolling, is read (shortest
-    # path), that guard is one negated copy of the outer unrolling, and no
-    # un-negated copy is made; the backward pass over the inner trace
-    # makes neither, and reads no gate of the inner unrolling.
+    # The outer trace's unrolling is walked (BDD.walk), never built. Where
+    # the walk is off, both traces unroll one model, so their unrollings
+    # are one shape: the first is built by one BDD.paths call over its k
+    # step gates, which makes only nodes its result reaches, and the other
+    # is a copy of it. None is a join of its k+1 table gates. The inner one
+    # stays one operand at the quantifier's stop, so its gates are not
+    # joined there as the product's guard either. Where the inner trace is
+    # universal and only its guard, the NOT of its unrolling, is read
+    # (shortest path), that guard is one negated copy of the first
+    # unrolling of the shape, and no un-negated copy is made; the backward
+    # pass over the inner trace makes neither, and reads no gate of the
+    # inner unrolling.
     from hyperbmc import bdd, oracle, qbf
     from hyperbmc.encoder import assemble_qbf
     from hyperbmc.hyperltl import negate, normalize, parse_formula
@@ -698,18 +700,28 @@ def test_unrolling_joined_once_per_model(monkeypatch):
             return r
 
         monkeypatch.setattr(bdd.BDD, name, counted)
-    finder = qbf._links
+    walks = _count_calls(monkeypatch, "walk")
+    finder, outer = qbf._links, qbf._outer_unrolling
     for links in (finder, lambda *args: None):
         monkeypatch.setattr(qbf, "_links", links)
-        for formula, structure, k, sem, copies in cases:
-            q = assemble_qbf(formula, {v: structure for _, v in formula.prefix}, k, sem)
-            blocks = [frozenset(vs) for _, vs in q.blocks]
-            assert len(blocks) == 2
-            whole.update(dict.fromkeys(["paths", "copy", "negated copy", "join"], 0))
-            solve(q)
-            # the pass takes shortest path, not non-repudiation (several links)
-            guards = 0 if links is finder and formula is shortest else 1
-            assert whole == {"paths": 1, "copy": copies, "negated copy": guards, "join": 0}
+        for walked in (outer, lambda *args: None):
+            monkeypatch.setattr(qbf, "_outer_unrolling", walked)
+            for formula, structure, k, sem, copies in cases:
+                q = assemble_qbf(formula, {v: structure for _, v in formula.prefix}, k, sem)
+                blocks = [frozenset(vs) for _, vs in q.blocks]
+                assert len(blocks) == 2
+                whole.update(dict.fromkeys(["paths", "copy", "negated copy", "join"], 0))
+                walks[0] = 0
+                solve(q)
+                # the pass takes shortest path, not non-repudiation (several links)
+                passed = links is finder and formula is shortest
+                if walked is outer:
+                    assert walks[0] == 1
+                    want = {"paths": int(not passed), "copy": 0, "negated copy": int(not passed and formula is shortest)}
+                else:
+                    assert walks[0] == 0
+                    want = {"paths": 1, "copy": copies, "negated copy": int(not passed)}
+                assert whole == {**want, "join": 0}
 
 
 def rand_chain(rng, c, lo):
@@ -803,7 +815,8 @@ def test_chain_guards_agree_with_naive_evaluator(rng, monkeypatch):
     # unrolling that the body's constant leaves as the quantifier's stop:
     # one paths call, then quantified, and none of its gates joined.
     # Where the backward pass quantifies the innermost block, its
-    # unrolling is not built: only the outer blocks' shapes are.
+    # unrolling is not built, nor is the outermost one where it is walked:
+    # only the other blocks' shapes are.
     from hyperbmc import qbf
 
     calls = _count_calls(monkeypatch, "paths")
@@ -815,14 +828,17 @@ def test_chain_guards_agree_with_naive_evaluator(rng, monkeypatch):
         return backward(*args)
 
     monkeypatch.setattr(qbf, "_backward", counted)
-    built = kept = witnesses = stops = taken = 0
+    built = kept = witnesses = stops = taken = walked = 0
     for _ in range(400):
         q, shapes, constant = rand_chain_prenex(rng)
         calls[0] = passes[0] = 0
         r = solve(q)
-        distinct = set(shapes[:-1] if passes[0] else shapes) - {None}
+        outer = qbf._outer_unrolling(q.circuit, q.matrix, *q.blocks[0]) is not None
+        assert outer <= (shapes[0] is not None)
+        distinct = set(shapes[outer:len(shapes) - passes[0]]) - {None}
         assert calls[0] == len(distinct)
         taken += passes[0]
+        walked += outer
         built += calls[0] > 0
         stops += constant and shapes[-1] is not None and shapes.count(shapes[-1]) == 1
         check_result(q, r)
@@ -833,11 +849,14 @@ def test_chain_guards_agree_with_naive_evaluator(rng, monkeypatch):
     assert witnesses >= 100
     assert stops >= 30
     assert taken >= 10
+    assert walked >= 50
 
 
 def test_unrecorded_unrolling_is_joined(monkeypatch):
     # A QCIR document carries no records: its parsed circuit joins the
-    # gates of each unrolling, and its value is the encoded QBF's.
+    # gates of each unrolling, and its value is the encoded QBF's. The
+    # encoded QBF builds neither unrolling: its outer trace is walked and
+    # its inner one taken by the backward pass.
     from hyperbmc import oracle
     from hyperbmc.encoder import assemble_qbf
     from hyperbmc.hyperltl import normalize, parse_formula
@@ -849,11 +868,11 @@ def test_unrecorded_unrolling_is_joined(monkeypatch):
     again = parse_qcir(emit_qcir(q))
     assert len(q.circuit.unrollings) == 2 and again.circuit.unrollings == {}
     calls = _count_calls(monkeypatch, "paths")
+    walks = _count_calls(monkeypatch, "walk")
     r = solve(q)
-    assert calls[0] == 1  # the two traces' unrollings are one shape
-    calls[0] = 0
-    assert solve(again).value == r.value
-    assert calls[0] == 0
+    assert (calls[0], walks[0]) == (0, 1)
+    assert solve(again) == r
+    assert (calls[0], walks[0]) == (0, 1)
 
 
 def rand_shifted_prenex(rng):
