@@ -18,13 +18,12 @@ without any apply. So a caller builds a function that repeats at every
 step once and copies it to the other steps, and the NOT of such a copy
 is one pass, not two.
 relation() builds a BDD as a trie of rows, each an int whose bits are
-its variables' values, as a state's code is. live_codes() walks a
-transition table: each step's codes on a path from an initial code to
-the last step. paths() builds the paths through the table, an initial
-relation AND every step's relation, from the same tries in one backward
-pass over those codes, without an apply; qbf._backward walks them too.
-walk() finds the lowest path of those paths AND a given BDD by a
-depth-first walk of the same codes through that BDD, building neither.
+its variables' values, as a state's code is. paths() builds the paths
+through a transition table's live codes (Circuit.unrolled: each step's
+codes on a path to the last step, each with its live successors) from
+the same tries in one backward pass, without an apply. walk() finds the
+lowest path of those paths AND a given BDD by a depth-first walk of the
+same codes through that BDD, building neither.
 Dead nodes stay in the arena until collect(), a mark-compact pass from
 the roots a caller pins; it renumbers the survivors, so a caller runs it
 between operations, never inside one: run() is that point. node_cap
@@ -50,27 +49,6 @@ GC_MIN_NODES = 1 << 17
 
 # Computed-table entries per operation before the table is dropped.
 CACHE_LIMIT = 1 << 20
-
-
-def live_codes(width, init_rows, step_rows, steps):
-    """(successor map, live codes per step) of a transition table over `width`-bit codes.
-
-    A step row holds a code in its low `width` bits and a successor above
-    them. live[i], for i in 0..steps, holds the codes that a path from
-    `init_rows` reaches at step i and that lie on a path to step `steps`,
-    in a dict ordered as a forward pass over the reached codes finds them.
-    """
-    mask = (1 << width) - 1
-    succ = {}
-    for row in step_rows:
-        succ.setdefault(row & mask, []).append(row >> width)
-    reach = [set(init_rows)]
-    for _ in range(steps):
-        reach.append({t for c in reach[-1] for t in succ.get(c, ())})
-    live = [dict.fromkeys(reach[steps])]
-    for codes in reversed(reach[:steps]):
-        live.append(dict.fromkeys(c for c in codes if any(t in live[-1] for t in succ.get(c, ()))))
-    return succ, live[::-1]
 
 
 class NodeCapError(Exception):
@@ -254,55 +232,45 @@ class BDD:
         """OR of the rows, each an int whose bit j is its value of variables[j], ascending."""
         return self._trie(variables, dict.fromkeys(rows, TRUE)).get(0, FALSE)
 
-    def paths(self, window, init_rows, step_rows, base, stride, steps):
-        """The paths of `steps` steps through a transition table, as one BDD.
+    def paths(self, window, live, base, stride):
+        """The paths through a transition table's live codes `live` (Circuit.unrolled), as one BDD.
 
         Step i reads the ascending offsets `window` above base + i·stride,
         and stride exceeds window[-1] - window[0], so the steps follow one
-        another in the order. The result holds where step 0 spells one of
-        the codes `init_rows` and each pair of neighbouring steps one of
-        `step_rows`, whose low len(window) bits are the first step's code
-        and the bits above them the second's: relation(init) AND every
-        step's relation relocated by i·stride, without building either.
-
-        live_codes lists each step's codes on a path to the last step. A
-        backward pass then makes, for each live code at step i, the set of
-        its suffixes: at the last step TRUE, before it the trie over step
-        i+1's window whose leaves are its live successors' suffix sets.
-        The root is the trie over step 0 with the live initial codes'
-        suffix sets as leaves. So a node is made only where the result
-        reaches it, once per distinct suffix function.
+        another in the order; a code's bit j is its value at window[j]. The
+        result holds where the steps spell a path of `live`: the unrolling's
+        initial relation AND every step's relation relocated by i·stride,
+        without building either. A backward pass makes, for each live code
+        at step i, the set of its suffixes: at the last step TRUE, before it
+        the trie over step i+1's window whose leaves are its live
+        successors' suffix sets. The root is the trie over step 0 with the
+        live initial codes' suffix sets as leaves. So a node is made only
+        where the result reaches it, once per distinct suffix function.
         """
         w = len(window)
-        succ, live = live_codes(w, init_rows, step_rows, steps)
-        suffix = dict.fromkeys(live[steps], TRUE)
-        for i in reversed(range(steps)):
-            leaves = {c | t << w: suffix[t] for c in live[i] for t in succ[c] if t in live[i + 1]}
+        suffix = dict.fromkeys(live[-1], TRUE)
+        for i in reversed(range(len(live) - 1)):
+            leaves = {c | t << w: suffix[t] for c, ts in live[i].items() for t in ts}
             suffix = self._trie([base + (i + 1) * stride + o for o in window], leaves, w)
         return self._trie([base + o for o in window], suffix).get(0, FALSE)
 
-    def walk(self, f, target, window, init_rows, step_rows, base, stride, steps):
+    def walk(self, f, target, window, live, base, stride):
         """The lowest path to `target` of paths(...) AND f, without building either: {level: value}.
 
         The arguments after f and target are paths'. f is a BDD over the
         steps' windows. None where no path of the table takes f to
-        `target`. A depth-first walk takes each step's live codes
-        (live_codes) in the order of their bits read from the lowest level
-        up, false before true, so the first path found is the one that
-        path() reads off the product. Each code restricts f by following
-        its bits down from f's node; a branch where f reaches the other
-        terminal is pruned, and where f reaches `target` the path goes on
-        by the least live successor at each step. A (step, code, node)
-        triple found dead is not walked again. The walk makes no node.
+        `target`. A depth-first walk takes each step's live codes and each
+        code's live successors in the order `live` lists them, lowest path
+        first, so the first path found is the one that path() reads off the
+        product. Each code restricts f by following its bits down from f's
+        node; a branch where f reaches the other terminal is pruned, and
+        where f reaches `target` the path goes on by the first live
+        successor at each step. A (step, code, node) triple found dead is
+        not walked again. The walk makes no node.
         """
-        w = len(window)
-        succ, live = live_codes(w, init_rows, step_rows, steps)
         spot = {o: j for j, o in enumerate(window)}
         level, lo, hi = self.level, self.lo, self.hi
         avoid = TRUE - target
-
-        def rank(c):
-            return format(c, f"0{w}b")[::-1]
 
         def restrict(g, i, c):
             at = base + i * stride
@@ -313,7 +281,7 @@ class BDD:
 
         dead = set()
         codes = []  # the code taken at each step so far
-        stack = [(0, f, iter(sorted(live[0], key=rank)))]  # (step, f restricted by the steps before, codes left)
+        stack = [(0, f, iter(live[0]))]  # (step, f restricted by the steps before, codes left)
         while stack:
             i, g, left = stack[-1]
             for c in left:
@@ -327,11 +295,11 @@ class BDD:
                 continue
             codes.append(c)
             if h == target:
-                for j in range(i + 1, steps + 1):
-                    codes.append(min((t for t in succ[codes[-1]] if t in live[j]), key=rank))
+                for step in live[i:-1]:
+                    codes.append(step[codes[-1]][0])
                 return {base + i * stride + o: bool(c >> j & 1)
                         for i, c in enumerate(codes) for j, o in enumerate(window)}
-            stack.append((i + 1, h, iter(sorted((t for t in succ[c] if t in live[i + 1]), key=rank))))
+            stack.append((i + 1, h, iter(live[i][c])))
         return None
 
     def copy(self, f, shift, negate):

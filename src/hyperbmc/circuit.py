@@ -25,7 +25,9 @@ evaluate looks a table gate's code up among its rows; cofactors (and so
 restrict) expand it into AND/OR gates.
 
 Each unrolling that `unrolling` makes, an initial table AND a transition
-table at every step, is recorded unless constant, so the solver looks it up.
+table at every step, is recorded unless constant, so the solver looks it
+up, with the one walk of its tables that all the solver's readers share
+(unrolled, live_codes).
 """
 
 FALSE = 0
@@ -39,6 +41,32 @@ K_OR = 4
 K_TABLE = 5
 
 
+def live_codes(width, init_rows, step_rows, steps):
+    """Each step's live codes of a transition table over `width`-bit codes, each with its live successors.
+
+    A step row holds a code in its low `width` bits and a successor above
+    them. live[i], for i in 0..steps, maps each code on a path from
+    `init_rows` to step `steps` at step i to the tuple of its successors
+    on such a path; at the last step, to (). Codes and successors are in
+    lowest-path order: bits compared from bit 0 up, false before true.
+    """
+    order = sorted({*init_rows, *(row >> width for row in step_rows)}, key=lambda c: f"{c:0{width}b}"[::-1])
+    rank = {c: j for j, c in enumerate(order)}.__getitem__
+    succ = {}
+    for row in sorted(step_rows, key=lambda row: rank(row >> width)):
+        succ.setdefault(row & (1 << width) - 1, []).append(row >> width)
+    reach = [set(init_rows)]
+    for _ in range(steps):
+        reach.append({t for c in reach[-1] for t in succ.get(c, ())})
+    live = [dict.fromkeys(sorted(reach[steps], key=rank), ())]
+    shared = {}  # one tuple per distinct list of live successors, whatever its step
+    for codes in reversed(reach[:steps]):
+        after = live[-1]
+        pairs = ((c, tuple(t for t in succ.get(c, ()) if t in after)) for c in sorted(codes, key=rank))
+        live.append({c: shared.setdefault(ts, ts) for c, ts in pairs if ts})
+    return live[::-1]
+
+
 class Circuit:
     """Single-writer arena; completed nodes are immutable and shareable."""
 
@@ -50,6 +78,7 @@ class Circuit:
         self.tables = []  # table id -> (ascending offsets, sorted tuple of int rows)
         self._table_ids = {}
         self.unrollings = {}  # node -> the arguments of the unrolling call that made it
+        self._live = {}  # (init table, step table, steps) -> its live_codes
 
     def __len__(self):
         return len(self.kinds)
@@ -144,6 +173,17 @@ class Circuit:
         if n not in (FALSE, TRUE):
             self.unrollings[n] = (init, step, base, stride, steps)
         return n
+
+    def unrolled(self, u):
+        """The recorded unrolling u as BDD.paths reads it: (window, live codes, base, stride).
+
+        Its tables' live_codes are made once per (init table, step table, steps).
+        """
+        init, step, base, stride, steps = self.unrollings[u]
+        window, init_rows = self.tables[init]
+        if (init, step, steps) not in self._live:
+            self._live[init, step, steps] = live_codes(len(window), init_rows, self.tables[step][1], steps)
+        return window, self._live[init, step, steps], base, stride
 
     def expand(self, n):
         """Table gate n as an OR of ANDs of literals, one AND per row.

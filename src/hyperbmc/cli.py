@@ -72,23 +72,14 @@ def _cmd_check(args) -> int:
             raise OSError(f"cannot write {path}: it is a directory, or its directory does not exist")
     formula = _read_formula(args.formula)
     mdl = _load_models(formula, args.model, args.model_default)
-    semantics = args.semantics
-    if args.mode == "falsify":
-        negate_first = True
-        semantics = semantics or oracle.PES
-    elif args.mode == "prove":
-        negate_first = True
-        semantics = semantics or oracle.OPT
-    else:
-        negate_first = False
-        semantics = semantics or oracle.PES
+    semantics = args.semantics or (oracle.OPT if args.mode == "prove" else oracle.PES)
     cfg = driver.CheckConfig(
         formula=formula,
         models=mdl,
         k_from=getattr(args, "from"),
         k_max=args.k,
         semantics=semantics,
-        negate_first=negate_first,
+        negate_first=args.mode != "raw",  # falsify and prove check the negation
         paper_literal=args.paper_literal,
         solver=driver.resolve_solver(args.solver),
         emit_qcir_path=args.emit_qcir,
@@ -96,9 +87,9 @@ def _cmd_check(args) -> int:
     )
     verdict = driver.check(cfg)
 
-    if args.witness and verdict.witness:
+    if args.witness:  # emptied when there is no witness, so no earlier run's is left
         with open(args.witness, "w") as fh:
-            fh.write(driver.format_witness(verdict.witness, mdl))
+            fh.write(driver.format_witness(verdict.witness, mdl) if verdict.witness else "")
 
     if args.format == "json":
         payload = {

@@ -174,18 +174,22 @@ def _solve_bound(cfg: CheckConfig, checked, orders, k: int) -> _Bound:
     """Lay out, encode, emit and solve one bound."""
     layout = build_layout(cfg.models, checked, k, orders)
     q = assemble_qbf(checked, cfg.models, k, cfg.semantics, cfg.paper_literal, layout)
-    _emit(cfg, q)
+    text = _emit(cfg, q)
     if cfg.solver == "builtin":
         result = qbf.solve(q)
     else:
-        result = qbf.run_external(cfg.solver, q, timeout=cfg.solver_timeout)
+        result = qbf.run_external(cfg.solver, text or q, timeout=cfg.solver_timeout)
     return _Bound(k, layout, q, result)
 
 
 def _emit(cfg: CheckConfig, q):
+    """q's QCIR document, written to cfg.emit_qcir_path; None, and not rendered, without that path."""
     if cfg.emit_qcir_path:
+        text = qbf.emit_qcir(q)
         with open(cfg.emit_qcir_path, "w") as fh:
-            fh.write(qbf.emit_qcir(q))
+            fh.write(text)
+        return text
+    return None
 
 
 def _report(cfg: CheckConfig, checked, hint: str, bound: _Bound) -> Verdict:

@@ -11,11 +11,13 @@ deciding terminal.
 Where the outer block is one trace whose recorded unrolling is a
 conjunct of the matrix (∃), or whose negated unrolling is a disjunct
 (∀), that unrolling's path set is never built: the solver compiles the
-other operand, F, and walks the trace's reachable codes through F
-(BDD.walk, _decide). The first run it finds is the lowest path that the
-path set AND F would give; without one, the value is the other one. An
-outer block of several traces, a root of another shape, or a circuit
-without records (a parsed QCIR document) keeps the path set.
+other operand, F, and walks the trace's live codes through F (BDD.walk,
+_decide). The first run it finds is the lowest path that the path set
+AND F would give; without one, the value is the other one. An outer
+block of several traces, a root of another shape, or a circuit without
+records (a parsed QCIR document) keeps the path set. The walk, the
+backward pass below and every path set read one walk of each recorded
+unrolling's tables per solve (Circuit.unrolled).
 
 Where the innermost block is one trace whose unrolling the circuit
 records, and the body reaches each next step through one link, that
@@ -109,11 +111,10 @@ def make_prenex(circuit, blocks, matrix, var_names) -> PrenexQBF:
 _PLAIN, _EXISTS, _FORALL = range(3)
 
 
-def _unrolled(circ, u):
-    """The recorded unrolling u as BDD.paths' arguments: (window, init rows, step rows, base, stride, steps)."""
-    init, step, base, stride, steps = circ.unrollings[u]
-    window, init_rows = circ.tables[init]
-    return window, init_rows, circ.tables[step][1], base, stride, steps
+def _guard(circ, node, quant, mask):
+    """The recorded unrolling over just the bits `mask` that `node` is (∃) or negates (∀); else None."""
+    u = node if quant == _EXISTS else circ.payloads[node] if circ.kinds[node] == ct.K_NOT else None
+    return u if u in circ.unrollings and circ.masks[u] == mask else None
 
 
 def _links(circ, stop, quant, qmask):
@@ -140,12 +141,13 @@ def _links(circ, stop, quant, qmask):
     """
     kinds, payloads, masks = circ.kinds, circ.payloads, circ.masks
     for guard in circ.children(stop):
-        u = guard if quant == _EXISTS else payloads[guard] if kinds[guard] == ct.K_NOT else None
-        if u in circ.unrollings and masks[u] == qmask:
+        u = _guard(circ, guard, quant, qmask)
+        if u is not None:
             break
     else:
         return None
-    window, _, _, base, stride, steps = _unrolled(circ, u)
+    init, _, base, stride, steps = circ.unrollings[u]
+    window = circ.tables[init][0]
     identity = tuple(range(len(window)))
     roots = [c for c in payloads[stop] if c != guard]
     slices, every, rowsets = [], set(), {}
@@ -204,8 +206,8 @@ def _backward(mgr, circ, chain, quant, memo):
     """The stop of _links' `chain`: its body quantified over the trace B's reachable codes.
 
     For each step i from the last slice back and each code c that B
-    reaches at step i on a path to the last step (bdd.live_codes, the walk
-    that BDD.paths makes of the same table), V_i(c) is
+    reaches at step i on a path to the last step (Circuit.unrolled, the
+    live codes that BDD.paths and BDD.walk read), V_i(c) is
     F0 OR (F1 AND W). F0 and F1 are step i's slice with its link FALSE and
     TRUE and its B leaves read at c: BDDs over the outer leaves (memo's
     plain BDDs), built once per (step, values of the B leaves). W is the
@@ -223,8 +225,7 @@ def _backward(mgr, circ, chain, quant, memo):
     kinds, payloads = circ.kinds, circ.payloads
     join, copy = mgr.join, mgr.copy
     u, slices, _ = chain
-    window, init_rows, step_rows, _, _, steps = _unrolled(circ, u)
-    succ, live = bdd.live_codes(len(window), init_rows, step_rows, steps)
+    live = circ.unrolled(u)[1]
     root_op, wop = (bdd.OR, bdd.AND) if quant == _FORALL else (bdd.AND, bdd.OR)
     joins, combined = {}, {}
     values = {}  # code -> V at the step after this one
@@ -245,11 +246,9 @@ def _backward(mgr, circ, chain, quant, memo):
             pair.append(join(root_op, [vals[r] for r in roots]))
         return pair[0], pair[-1]
 
-    for i in reversed(range(len(slices))):
-        piece = slices[i]
-        pairs = {}  # the B leaves' values -> (F0, F1)
-        new = {}
-        for c in live[i]:
+    for piece, step in reversed(list(zip(slices, live))):
+        pairs, new = {}, {}  # the B leaves' values -> (F0, F1); code -> V at this step
+        for c, successors in step.items():
             bits = tuple((c if spots is None else sum((c >> s & 1) << j for j, s in enumerate(spots))) in rows
                          for _, spots, rows in piece[2])
             pair = pairs.get(bits)
@@ -259,7 +258,7 @@ def _backward(mgr, circ, chain, quant, memo):
             if f0 == f1 or f0 == bdd.TRUE or f1 == bdd.FALSE:
                 new[c] = f0
                 continue
-            heads = frozenset(values[t] for t in succ[c] if t in values)
+            heads = frozenset(values[t] for t in successors)
             link_value = joins.get(heads)
             if link_value is None:
                 link_value = joins[heads] = join(wop, heads)
@@ -335,10 +334,9 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
 
     An AND gate that circ.unrollings records (see Circuit.unrolling: an
     initial state and m > 0 steps of a transition relation) is one BDD.paths
-    call on the tables' rows as they stand (a step row's low |W| bits are
-    its values on W), which makes only the nodes its result reaches; its
-    step gates are never built, not even where it is a stop (when the
-    body folds to a constant). The outermost trace's unrolling is not
+    call on its live codes (Circuit.unrolled), which makes only the nodes
+    its result reaches; its step gates are never built, not even where it
+    is a stop (when the body folds to a constant). The outermost trace's unrolling is not
     compiled at all where solve walks it. Every other AND and OR joins its
     operands.
 
@@ -482,7 +480,7 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
             offsets, rows = circ.tables[tid]
             return mgr.relation([base + o for o in offsets], rows)
         if n in unrollings:
-            return mgr.paths(*_unrolled(circ, n))
+            return mgr.paths(*circ.unrolled(n))
         return mgr.join(bdd.AND if k == ct.K_AND else bdd.OR, [memo[c] for c in ks])
 
     refs = dict.fromkeys(kids, 0)
@@ -536,16 +534,15 @@ def _outer_unrolling(circ, root, quant, variables):
     makes up the outer block `variables`. A root that is u (NOT u) alone
     has rest TRUE (FALSE).
     """
-    kinds, payloads, masks = circ.kinds, circ.payloads, circ.masks
-    mask = sum(1 << v for v in variables)
-    kind, unit = (ct.K_AND, ct.TRUE) if quant == EXISTS else (ct.K_OR, ct.FALSE)
+    mode, kind, unit = (_EXISTS, ct.K_AND, ct.TRUE) if quant == EXISTS else (_FORALL, ct.K_OR, ct.FALSE)
     pairs = [(root, unit)]
-    if kinds[root] == kind and len(payloads[root]) == 2:
-        a, b = payloads[root]
+    if circ.kinds[root] == kind and len(circ.payloads[root]) == 2:
+        a, b = circ.payloads[root]
         pairs += [(a, b), (b, a)]
+    mask = sum(1 << v for v in variables)
     for guard, rest in pairs:
-        u = guard if quant == EXISTS else payloads[guard] if kinds[guard] == ct.K_NOT else None
-        if u in circ.unrollings and masks[u] == mask:
+        u = _guard(circ, guard, mode, mask)
+        if u is not None:
             return u, rest
     return None
 
@@ -578,7 +575,7 @@ def _decide(q, mgr):
     elif outer is None:
         path = mgr.path(f, target)
     else:
-        path = mgr.walk(f, target, *_unrolled(circ, outer[0]))
+        path = mgr.walk(f, target, *circ.unrolled(outer[0]))
     if path is None:
         return SolveResult(value=outer_quant == FORALL, outer_witness=None)
     witness = dict.fromkeys(sorted(outer_vars), False)
@@ -744,8 +741,8 @@ def external_argv(command_template: str) -> list:
     return argv
 
 
-def run_external(command_template: str, q: PrenexQBF, timeout: float | None = None) -> SolveResult:
-    """Write QCIR to a temp file, run the command, map its verdict.
+def run_external(command_template: str, q: PrenexQBF | str, timeout: float | None = None) -> SolveResult:
+    """Write q's QCIR (q itself if it is that text) to a temp file, run the command, map its verdict.
 
     The command is checked by external_argv. Exit status 10 means true and
     20 false (the usual solver convention); otherwise the first output line
@@ -753,7 +750,7 @@ def run_external(command_template: str, q: PrenexQBF, timeout: float | None = No
     """
     argv = external_argv(command_template)
     with tempfile.NamedTemporaryFile(mode="w", suffix=".qcir", delete=False) as fh:
-        fh.write(emit_qcir(q))
+        fh.write(q if isinstance(q, str) else emit_qcir(q))
         path = fh.name
     argv = [word.replace("{file}", path) for word in argv]
     try:

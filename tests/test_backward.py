@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from hyperbmc import bdd, oracle, qbf
+from hyperbmc import bdd, circuit, oracle, qbf
 from hyperbmc.circuit import Circuit
 from hyperbmc import hyperltl as hl
 from hyperbmc.encoder import assemble_qbf
@@ -130,6 +130,27 @@ def test_pass_equals_stops_on_bundled_checks(case, arena, monkeypatch):
     by_pass, by_stops, ran = _both_ways(monkeypatch, q)
     assert ran == (name not in FOLDED)
     assert by_pass == by_stops
+
+
+@pytest.mark.parametrize("case", list(_bundled_cases()), ids=lambda case: case[0])
+def test_each_table_is_walked_once_per_solve(case, monkeypatch):
+    # the outer trace's walk, the inner trace's pass and any path set read
+    # one walk of each (initial table, step table, steps), where the walk
+    # and the pass used to walk the table of a model they share twice; a
+    # body that folds to a constant decides the value without any
+    name, formula, models, k, sem = case
+    q = _assemble(formula, models, k, sem)
+    walks = []
+    live_codes = circuit.live_codes
+
+    def counted(*args):
+        walks.append(args)
+        return live_codes(*args)
+
+    monkeypatch.setattr(circuit, "live_codes", counted)
+    qbf.solve(q)
+    tables = {(init, step, steps) for init, step, _, _, steps in q.circuit.unrollings.values()}
+    assert len(walks) == len(set(walks)) == (0 if name in FOLDED else len(tables))
 
 
 def _random_pass_counts(monkeypatch, seed, draws, blocks):

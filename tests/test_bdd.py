@@ -5,8 +5,8 @@ from operator import and_, or_
 
 import pytest
 
-from hyperbmc.bdd import AND, BDD, FALSE, OR, TRUE, NodeCapError, live_codes
-from hyperbmc.circuit import Circuit
+from hyperbmc.bdd import AND, BDD, FALSE, OR, TRUE, NodeCapError
+from hyperbmc.circuit import Circuit, live_codes
 from hyperbmc.qbf import EXISTS, FORALL, ResourceLimitError, make_prenex, solve
 
 from conftest import bdd_nodes_since, bdd_table, bdd_value, fold, row_code, truth_table, variable_table
@@ -326,7 +326,7 @@ def test_paths_is_the_fold_of_relocated_steps():
         for _ in range(rng.randint(0, 3)):  # nodes made before, some shared with the result
             build(mgr, rand_expr(rng, base + 2 * stride, 3))
         before = len(mgr)
-        f = mgr.paths(window, init_rows, step_rows, base, stride, steps)
+        f = mgr.paths(window, live_codes(len(window), init_rows, step_rows, steps), base, stride)
         assert len(mgr) - before == len(bdd_nodes_since(mgr, f, before))
         init = mgr.relation([base + o for o in window], init_rows)
         step = mgr.relation([base + o for o in window] + [base + stride + o for o in window], step_rows)
@@ -335,36 +335,43 @@ def test_paths_is_the_fold_of_relocated_steps():
     assert empty >= 30
     # no step row starts from the initial code: no path of a step or more
     mgr = BDD()
-    assert mgr.paths((0, 2), [0b11], [0b1100, 0b1110], 0, 3, 1) == FALSE
-    assert mgr.paths((0, 2), [0b11], [0b1100], 0, 3, 0) == mgr.relation([0, 2], [0b11])
+    assert mgr.paths((0, 2), live_codes(2, [0b11], [0b1100, 0b1110], 1), 0, 3) == FALSE
+    assert mgr.paths((0, 2), live_codes(2, [0b11], [0b1100], 0), 0, 3) == mgr.relation([0, 2], [0b11])
 
 
 def test_live_codes_are_the_codes_on_enumerated_paths():
-    # every path of `steps` steps from an initial code, enumerated: the
-    # codes at step i on one of them are live[i], whatever dead ends,
-    # unreached codes or initial codes without successors the table has
+    # every path of `steps` steps from an initial code, enumerated: live[i]
+    # maps the codes at step i on one of them to the codes that follow them
+    # at step i+1 on one of them, whatever dead ends, unreached codes or
+    # initial codes without successors the table has; codes and successors
+    # come in lowest-path order, bit 0 first, false before true
     rng = random.Random(29)
-    seen = {"dead end": 0, "unreached": 0, "initial without successors": 0}
+    seen = {"dead end": 0, "unreached": 0, "initial without successors": 0, "reordered": 0}
     steps_seen = set()
     for _ in range(400):
         window, _, init_rows, step_rows = rand_path_table(rng)
         w = len(window)
         steps = rng.randint(0, 5)
-        succ, live = live_codes(w, init_rows, step_rows, steps)
+        live = live_codes(w, init_rows, step_rows, steps)
         pairs = {(row & (1 << w) - 1, row >> w) for row in step_rows}
-        assert {c: sorted(ts) for c, ts in succ.items()} == {
-            c: sorted(t for s, t in pairs if s == c) for c, _ in pairs}
         paths = [(c,) for c in set(init_rows)]
         reached = [set(init_rows)]
         for _ in range(steps):
             paths = [p + (t,) for p in paths for s, t in sorted(pairs) if s == p[-1]]
             reached.append({t for s, t in pairs if s in reached[-1]})
+
+        def lowest(codes):
+            return sorted(codes, key=lambda c: [c >> j & 1 for j in range(w)])
+
         assert len(live) == steps + 1
         for i in range(steps + 1):
-            assert set(live[i]) == {p[i] for p in paths}
+            codes = lowest({p[i] for p in paths})
+            after = [lowest({p[i + 1] for p in paths if p[i] == c} if i < steps else ()) for c in codes]
+            assert [(c, list(ts)) for c, ts in live[i].items()] == list(zip(codes, after))
+            seen["reordered"] += codes != sorted(codes)
         steps_seen.add(steps)
         seen["dead end"] += any(reached[i] - set(live[i]) for i in range(steps + 1))
         seen["unreached"] += any(all(c not in r for r in reached) for pair in pairs for c in pair)
-        seen["initial without successors"] += steps > 0 and any(c not in succ for c in init_rows)
+        seen["initial without successors"] += steps > 0 and any(all(s != c for s, _ in pairs) for c in init_rows)
     assert steps_seen == set(range(6))
     assert min(seen.values()) >= 30, seen

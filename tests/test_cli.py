@@ -38,6 +38,19 @@ def test_check_fails_exit_code(capsys, model_file, tmp_path):
     assert witness.read_text() == "A: {a} {a}\n"
 
 
+def test_check_without_a_witness_empties_the_witness_file(capsys, model_file, tmp_path):
+    # an earlier run's witness left in place would read as this run's
+    witness = tmp_path / "w.txt"
+    witness.write_text("A: {a} {a}\n")
+    code, out, _ = run(
+        capsys, "check", "--formula", "forall A. G a[A]", "--model-default", model_file,
+        "-k", "2", "--mode", "falsify", "--witness", str(witness),
+    )
+    assert code == 2
+    assert "witness:" not in out
+    assert witness.read_text() == ""
+
+
 def test_check_holds_exit_code(capsys, model_file):
     code, out, _ = run(
         capsys, "check", "--formula", "exists A. F a[A]", "--model-default", model_file,

@@ -392,6 +392,26 @@ def test_external_solver_through_check(tmp_path):
     assert v.witness is None
 
 
+def test_external_solver_reads_the_emitted_qcir_without_a_second_render(tmp_path, monkeypatch, solved):
+    # with an emitted QCIR file and an external solver, each bound's
+    # document is rendered once: the solver reads the text that was written
+    emitted, read = tmp_path / "out.qcir", tmp_path / "read.qcir"
+    unsat = tmp_path / "unsat.sh"
+    unsat.write_text(f'#!/bin/sh\ncp "$1" {read}\nexit 20\n')
+    unsat.chmod(0o755)
+    rendered = []
+    emit = qbf.emit_qcir
+    monkeypatch.setattr(qbf, "emit_qcir", lambda q: rendered.append(q) or emit(q))
+    cfg = CheckConfig(
+        formula=parse_formula("exists A. F a[A]"), models={"A": AB_STATE}, k_from=0, k_max=2,
+        semantics=oracle.PES, solver=f"{unsat} {{file}}", emit_qcir_path=str(emitted),
+    )
+    assert check(cfg).interpretation == UNKNOWN
+    assert solved == [0, 1, 2]
+    assert len(rendered) == 3
+    assert read.read_bytes() == emitted.read_bytes()
+
+
 def test_halt_atom_end_to_end():
     halted = parse_kripke(
         "ap a; states s0 s1; init s0; halt s1; label s0 {a}; label s1 {}; "

@@ -17,6 +17,7 @@ import random
 import pytest
 
 from hyperbmc import bdd, oracle, qbf
+from hyperbmc.circuit import live_codes
 from hyperbmc import hyperltl as hl
 from hyperbmc import recheck
 from hyperbmc.driver import CheckConfig, check
@@ -113,6 +114,11 @@ def test_walk_equals_paths_on_chained_qbfs(arena, monkeypatch, rng):
     assert taken >= 30
 
 
+def _one_bit(init_rows, step_rows):
+    """paths' and walk's arguments for a one-bit code at each of the levels 0..2."""
+    return (0,), live_codes(1, init_rows, step_rows, 2), 0, 1
+
+
 def test_walk_on_one_bit_tables():
     # one bit per step, codes 0 and 1 at each of steps 0..2, every
     # transition allowed; f holds where step 1's bit is set and, if step 0's
@@ -120,21 +126,21 @@ def test_walk_on_one_bit_tables():
     mgr = bdd.BDD()
     b0, b1, b2 = (mgr.var(v) for v in (0, 1, 2))
     f = mgr.join(bdd.AND, [b1, mgr.join(bdd.OR, [b0, b2])])
-    args = ((0,), (0, 1), (0b00, 0b01, 0b10, 0b11), 0, 1, 2)
+    args = _one_bit((0, 1), (0b00, 0b01, 0b10, 0b11))
     assert mgr.walk(f, bdd.TRUE, *args) == {0: False, 1: True, 2: True}
     assert mgr.walk(f, bdd.TRUE, *args) == mgr.path(mgr.join(bdd.AND, [f, mgr.paths(*args)]), bdd.TRUE)
     assert mgr.walk(f, bdd.FALSE, *args) == {0: False, 1: False, 2: False}
     # code 1 has no successor, so no path has step 1's bit set
-    assert mgr.walk(f, bdd.TRUE, (0,), (0, 1), (0b00, 0b10), 0, 1, 2) is None
+    assert mgr.walk(f, bdd.TRUE, *_one_bit((0, 1), (0b00, 0b10))) is None
     # no path reaches step 2 at all
-    assert mgr.walk(bdd.TRUE, bdd.TRUE, (0,), (0,), (0b01,), 0, 1, 2) is None
+    assert mgr.walk(bdd.TRUE, bdd.TRUE, *_one_bit((0,), (0b01,))) is None
     # transitions 0 -> 0, 0 -> 1 and 1 -> 1; g holds where step 1's bit is
     # set and step 2's equals step 0's. Code 1 at step 1 is dead after code
     # 0 at step 0 (g needs step 2's bit clear) and live after code 1, so a
     # dead triple must hold g's node, not the code alone
     n0, n2 = mgr.copy(b0, 0, True), mgr.copy(b2, 0, True)
     g = mgr.join(bdd.AND, [b1, mgr.join(bdd.OR, [mgr.join(bdd.AND, [b0, b2]), mgr.join(bdd.AND, [n0, n2])])])
-    args = ((0,), (0, 1), (0b00, 0b10, 0b11), 0, 1, 2)
+    args = _one_bit((0, 1), (0b00, 0b10, 0b11))
     assert mgr.walk(g, bdd.TRUE, *args) == {0: True, 1: True, 2: True}
 
 
