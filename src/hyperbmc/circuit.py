@@ -27,7 +27,7 @@ restrict) expand it into AND/OR gates.
 Each unrolling that `unrolling` makes, an initial table AND a transition
 table at every step, is recorded unless constant, so the solver looks it
 up, with the one walk of its tables that all the solver's readers share
-(unrolled, live_codes).
+during one solve (unrolled, live_codes, forget_unrolled).
 """
 
 FALSE = 0
@@ -78,7 +78,7 @@ class Circuit:
         self.tables = []  # table id -> (ascending offsets, sorted tuple of int rows)
         self._table_ids = {}
         self.unrollings = {}  # node -> the arguments of the unrolling call that made it
-        self._live = {}  # (init table, step table, steps) -> its live_codes
+        self._live = {}  # (init table, step table, steps) -> its live_codes, until forget_unrolled
 
     def __len__(self):
         return len(self.kinds)
@@ -177,13 +177,18 @@ class Circuit:
     def unrolled(self, u):
         """The recorded unrolling u as BDD.paths reads it: (window, live codes, base, stride).
 
-        Its tables' live_codes are made once per (init table, step table, steps).
+        Its tables' live_codes are made once per (init table, step table,
+        steps) and kept until forget_unrolled.
         """
         init, step, base, stride, steps = self.unrollings[u]
         window, init_rows = self.tables[init]
         if (init, step, steps) not in self._live:
             self._live[init, step, steps] = live_codes(len(window), init_rows, self.tables[step][1], steps)
         return window, self._live[init, step, steps], base, stride
+
+    def forget_unrolled(self):
+        """Drop the live codes that unrolled keeps; qbf.solve keeps them for one solve."""
+        self._live.clear()
 
     def expand(self, n):
         """Table gate n as an OR of ANDs of literals, one AND per row.

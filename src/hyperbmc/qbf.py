@@ -17,15 +17,18 @@ AND F would give; without one, the value is the other one. An outer
 block of several traces, a root of another shape, or a circuit without
 records (a parsed QCIR document) keeps the path set. The walk, the
 backward pass below and every path set read one walk of each recorded
-unrolling's tables per solve (Circuit.unrolled).
+unrolling's tables per solve (Circuit.unrolled), dropped when it ends.
 
 Where the innermost block is one trace whose unrolling the circuit
 records, and the body reaches each next step through one link, that
 block is quantified by a backward pass over the trace's reachable
 states (_links, _backward): V_i(c) = F0 ∨ (F1 ∧ W) per step i and code
 c, with W the AND (∀) or OR (∃) of V_{i+1} over c's successors, so only
-the outer traces stay symbolic. Any other innermost block falls back to
-relational products at the quantifier's stops.
+the outer traces stay symbolic. Where the whole body has several links
+per step and the stop splits into parts, each part that reaches the
+trace through one link per step takes the pass on its own. Every other
+part, and any other innermost block, falls back to relational products
+at the quantifier's stops.
 """
 
 import os
@@ -117,30 +120,33 @@ def _guard(circ, node, quant, mask):
     return u if u in circ.unrollings and circ.masks[u] == mask else None
 
 
-def _links(circ, stop, quant, qmask):
-    """The body that the innermost trace's guard meets at `stop`, one slice per step; or None.
+def _links(circ, operands, quant, qmask):
+    """The body that the innermost trace's guard meets among `operands`, one slice per step; or None.
 
-    `stop` is a node where the quantifier `quant` over the variables in
-    `qmask` stops. This applies where one of its operands is the guard of
-    a trace B whose variables are exactly `qmask`: B's recorded unrolling
-    (Circuit.unrollings) under an existential, its NOT under a universal.
-    The other operands are the roots of step 0. Below step i's roots, a
-    node without B's bits is an outer leaf; one that mentions B's bits of
-    step i is in step i's slice; one that mentions B's bits of later
-    steps only is the link, which is the root of step i+1.
+    `operands` are those of a stop of the quantifier `quant` over the
+    variables in `qmask`, joined by AND under an existential and by OR
+    under a universal: the stop's children, or one part of a split stop
+    beside the stop's other operands over `qmask` (see _compile). This
+    applies where one of them is the guard of a trace B whose variables
+    are exactly `qmask`: B's recorded unrolling (Circuit.unrollings) under
+    an existential, its NOT under a universal. The other operands are the
+    roots of step 0. Below step i's roots, a node without B's bits is an
+    outer leaf; one that mentions B's bits of step i is in step i's slice;
+    one that mentions B's bits of later steps only is the link, which is
+    the root of step i+1.
 
     Returns (B's unrolling, the slices, every outer leaf). A slice is
     (roots, outer leaves, B leaves, AND/OR/NOT nodes in post-order, link,
     the nodes of that order above the link); a B leaf (a table gate or a
     variable) is (node, the places in B's window of the bits it reads, or
     None where it reads the window as it is, its rows). The last slice
-    has no link. None where there is no such guard, where a step has a
-    second link, where a B leaf reads outer bits or another step, or
-    where the link sits under a NOT, so that each slice is monotone in
-    its link.
+    has no link. None where there is no such guard or nothing beside it,
+    where a step has a second link, where a B leaf reads outer bits or
+    another step, or where the link sits under a NOT, so that each slice
+    is monotone in its link.
     """
     kinds, payloads, masks = circ.kinds, circ.payloads, circ.masks
-    for guard in circ.children(stop):
+    for guard in operands:
         u = _guard(circ, guard, quant, qmask)
         if u is not None:
             break
@@ -149,7 +155,9 @@ def _links(circ, stop, quant, qmask):
     init, _, base, stride, steps = circ.unrollings[u]
     window = circ.tables[init][0]
     identity = tuple(range(len(window)))
-    roots = [c for c in payloads[stop] if c != guard]
+    roots = [c for c in operands if c != guard]
+    if not roots:
+        return None
     slices, every, rowsets = [], set(), {}
     seen = qmask  # B's bits of this step and later ones
     for i in range(steps + 1):
@@ -300,16 +308,22 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
     Every other stop, such as a body with several links per step or a
     circuit without records, is a split.
 
-    A split's other children that mention `variables` join into a guard
-    G, and each part meets G in a relational product of its own. If
-    exactly one child of the stop mixes `variables` with others, that
-    child is an OR under an existential (an AND under a universal), and
-    at least two of its own children mix them too, that child's children
-    are the parts: ∃Q (G ∧ ∨ d) = ∨ ∃Q (G ∧ d), so the whole body is never
-    built. Dually under a universal, with conjuncts and a guard joined by
-    OR. Otherwise the one part is the last mixed child, or the last child
+    A split has parts (stop_operands). If exactly one child of the stop
+    mixes `variables` with others, that child is an OR under an
+    existential (an AND under a universal), and at least two of its own
+    children mix them too, that child's children are the parts:
+    ∃Q (G ∧ ∨ d) = ∨ ∃Q (G ∧ d), so the whole body is never built.
+    Dually under a universal, with conjuncts and a guard joined by OR.
+    Otherwise the one part is the last mixed child, or the last child
     over `variables` alone if none mixes; a variable, a table gate or an
-    unrolling is its own one part, with no guard.
+    unrolling is its own one part, with no guard. Each part that _links
+    cuts beside the stop's other children over `variables`, which hold
+    B's guard, is one backward pass of its own, and is never built: only
+    its outer leaves are children of the stop. The other children that
+    mention `variables` join into a guard G, and each part left meets G
+    in a relational product of its own; G is built only if a part is
+    left. The results join by OR under an existential (AND under a
+    universal), with the children that do not mention `variables`.
 
     Each node has a shape: the node up to a constant shift of its
     variables, with an offset. A variable's shape is its kind at offset
@@ -384,7 +398,7 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         return len(over) == 1 and mixes(over[0])
 
     def stop_operands(n):
-        """(the others, the parts) of a stop: each part gets a product of its own (see above)."""
+        """(the others, the parts) of a split stop: each part gets a pass or a product of its own (see above)."""
         own = operands(n) if gate(n) else [n]
         mixed = [c for c in own if mixes(c)]
         if len(mixed) == 1 and kinds[mixed[0]] == (ct.K_OR if kinds[n] == ct.K_AND else ct.K_AND):
@@ -412,8 +426,7 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         shape[n] = shapes.setdefault(s, len(shapes))
 
     kids = {}
-    stops = {}  # stop's key -> (the others, the parts) of its node (see above)
-    chains = {}  # stop's key -> the slices of its body, per step (see _links)
+    stops = {}  # stop's key -> (the others, the parts left, the bodies _links cut) (see above)
     first = {}  # shape -> the key of its first PLAIN node, which later ones copy
     moved = {}  # key of a copy -> (its shift from the copied key, whether it negates)
     order = []
@@ -438,13 +451,20 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         elif gate(n) and passes(n, mode):
             ks = tuple(key_of(c, mode) for c in payloads[n])
         elif mode != _PLAIN:  # the quantifier stops here
-            chain = _links(circ, n, mode, qmask)
+            chain = _links(circ, circ.children(n), mode, qmask)
             if chain is not None:
-                chains[key] = chain
-                ks = tuple(3 * c for c in sorted(chain[2]))
+                others, parts, cut = [], [], [chain]
             else:
-                others, parts = stops[key] = stop_operands(n)
-                ks = tuple(3 * c for c in others + parts)
+                others, parts = stop_operands(n)
+                over = [c for c in others if masks[c] & qmask]
+                found = [_links(circ, over + [d], mode, qmask) for d in parts]
+                cut = [chain for chain in found if chain is not None]
+                parts = [d for d, chain in zip(parts, found) if chain is None]
+                if not parts:  # no product is left to meet the guard
+                    others = [c for c in others if not masks[c] & qmask]
+            stops[key] = others, parts, cut
+            leaves = sorted(set().union(*(chain[2] for chain in cut)))
+            ks = tuple(3 * c for c in others + parts + leaves)
         else:
             ks = ()
         kids[key] = ks
@@ -460,17 +480,18 @@ def _compile(circ, mgr, root, quant=_PLAIN, variables=()):
         ks = kids[key]
         if key in moved:
             return mgr.copy(memo[ks[0]], *moved[key])
-        if key in chains:
-            return _backward(mgr, circ, chains[key], mode, memo)
         if key in stops:
-            # The quantifier stops here: the other children that mention its
-            # variables join into a guard, each part meets the guard in one
-            # product, and the other children without them are added last.
-            others, parts = stops[key]
+            # The quantifier stops here: each cut body is one backward pass;
+            # the other children that mention its variables join into a
+            # guard, each part left meets the guard in one product, and the
+            # other children without them are added last.
+            others, parts, cut = stops[key]
             op, qop = (bdd.AND, bdd.OR) if mode == _EXISTS else (bdd.OR, bdd.AND)
-            guard = mgr.join(op, [memo[3 * c] for c in others if masks[c] & qmask])
-            node = mgr.join(qop, [mgr.quantify(op, guard, memo[3 * d], variables) for d in parts])
-            return mgr.join(op, [node, *(memo[3 * c] for c in others if not masks[c] & qmask)])
+            nodes = [_backward(mgr, circ, chain, mode, memo) for chain in cut]
+            if parts:
+                guard = mgr.join(op, [memo[3 * c] for c in others if masks[c] & qmask])
+                nodes += [mgr.quantify(op, guard, memo[3 * d], variables) for d in parts]
+            return mgr.join(op, [mgr.join(qop, nodes), *(memo[3 * c] for c in others if not masks[c] & qmask)])
         if k == ct.K_CONST:
             return n
         if k == ct.K_VAR:
@@ -512,7 +533,8 @@ def solve(q: PrenexQBF, node_cap: int = DEFAULT_NODE_CAP) -> SolveResult:
     the rest F at the root (_outer_unrolling), the BDD compiled is F's,
     not u's AND (OR) F's, and BDD.walk finds that same lowest path by
     walking u's reachable codes through F. node_cap bounds the live BDD
-    nodes.
+    nodes. The live codes that the solve reads (Circuit.unrolled) are
+    dropped when it ends, so a QBF kept after its solve does not keep them.
     """
     if not q.blocks:
         return SolveResult(value=q.matrix == ct.TRUE, outer_witness=None)
@@ -525,6 +547,8 @@ def solve(q: PrenexQBF, node_cap: int = DEFAULT_NODE_CAP) -> SolveResult:
         return _decide(q, bdd.BDD(node_cap))
     except bdd.NodeCapError as e:
         raise ResourceLimitError(e.nodes) from None
+    finally:
+        q.circuit.forget_unrolled()
 
 
 def _outer_unrolling(circ, root, quant, variables):

@@ -365,6 +365,14 @@ def all_letter_traces(aps, length):
 # ---------------------------------------------------------------------------
 # Independent reference: grid BFS
 
+def grid_map(n, seed=0):
+    """An n×n map with seeded obstacles on n²//6 cells, from (0, 0) to (n−1, n−1), as in CI."""
+    free = [(x, y) for x in range(n) for y in range(n) if (x, y) not in ((0, 0), (n - 1, n - 1))]
+    walls = set(random.Random(seed).sample(free, n * n // 6))
+    cell = {(0, 0): "I", (n - 1, n - 1): "G", **dict.fromkeys(walls, "#")}
+    return "\n".join("".join(cell.get((x, y), ".") for x in range(n)) for y in reversed(range(n)))
+
+
 def bfs_distance(width, height, obstacles, start, goals):
     seen = {start}
     queue = deque([(start, 0)])

@@ -3,8 +3,10 @@
 Each differential compiles the innermost block twice in one BDD manager:
 once by the pass and once by the stop machinery, which the tests force by
 making the link finder find nothing. BDD handles are canonical, so the
-two must be the same handle. The arena may be collected between the two
-compiles; the first result is pinned across every collection.
+two must be the same handle. Some also compile the matrix without a
+quantifier and quantify the block in one call, which must give that
+handle too. The arena may be collected between the compiles; each result
+is pinned across every collection.
 """
 
 import os
@@ -44,21 +46,49 @@ THREE_TRACES = (
 FOLDED = {"bakery2 k=0", "mutation k=0 pes", "complete k=0"}
 
 
-def _count(monkeypatch, name):
-    """Patch qbf's function `name` to count its calls; returns the one-element count list."""
+def _count(monkeypatch, name, module=qbf):
+    """Patch the function `name` of `module` to count its calls; returns the one-element count list."""
     calls = [0]
-    function = getattr(qbf, name)
+    function = getattr(module, name)
 
     def counted(*args):
         calls[0] += 1
         return function(*args)
 
-    monkeypatch.setattr(qbf, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
-def _both_ways(monkeypatch, q):
-    """(the pass's handle, the stop machinery's handle, whether the pass ran) for q's innermost block."""
+def _split_parts(monkeypatch, circ):
+    """Patch qbf._links to list the quantifier of each split part it cuts; returns that list.
+
+    A stop's children are one gate's operands. A part of a split stop,
+    beside the stop's other operands over the block, is not.
+    """
+    gates = {circ.payloads[n] for n in range(len(circ)) if circ.kinds[n] in (circuit.K_AND, circuit.K_OR)}
+    cut = []
+    finder = qbf._links
+
+    def counted(circ, operands, quant, qmask):
+        chain = finder(circ, operands, quant, qmask)
+        if chain is not None and tuple(sorted(operands)) not in gates:
+            cut.append(quant)
+        return chain
+
+    monkeypatch.setattr(qbf, "_links", counted)
+    return cut
+
+
+def _both_ways(monkeypatch, q, whole=False):
+    """(the pass's handle, the stop machinery's handle, the passes run, the split parts cut, the products made).
+
+    All for q's innermost block; the split parts are listed by their
+    quantifier (_split_parts). A compile that makes no product never
+    builds the innermost trace's unrolling, the guard of the products.
+    With `whole`, the stop machinery's handle is also checked against the
+    matrix built whole with the block quantified in one call, which
+    shares no stop with either.
+    """
     mgr = bdd.BDD()
     kept = {}
     collect = mgr.collect
@@ -73,14 +103,25 @@ def _both_ways(monkeypatch, q):
     mgr.collect = collect_kept
     quant, variables = q.blocks[-1]
     mode = qbf._EXISTS if quant == qbf.EXISTS else qbf._FORALL
+    built = set()  # the keys of the (node, quantifier) pairs that the pass's compile builds
+    run = mgr.run
+    mgr.run = lambda pinned, operation, key: built.add(key) or run(pinned, operation, key)
     with monkeypatch.context() as m:
         calls = _count(m, "_backward")
+        parts = _split_parts(m, q.circuit)
+        quantified = _count(m, "quantify", mgr)
         kept["pass"] = qbf._compile(q.circuit, mgr, q.matrix, mode, variables)
-        ran = calls[0]
+        ran, products = calls[0], quantified[0]
+        mgr.run = run
         m.setattr(qbf, "_links", lambda *args: None)
-        stop = qbf._compile(q.circuit, mgr, q.matrix, mode, variables)
-    assert ran <= 1
-    return kept["pass"], stop, ran == 1
+        kept["stop"] = qbf._compile(q.circuit, mgr, q.matrix, mode, variables)
+    if whole:
+        op, unit = (bdd.AND, bdd.TRUE) if mode == qbf._EXISTS else (bdd.OR, bdd.FALSE)
+        assert mgr.quantify(op, qbf._compile(q.circuit, mgr, q.matrix), unit, variables) == kept["stop"]
+    assert len(parts) <= ran
+    qmask = sum(1 << v for v in variables)
+    assert products or not built & {3 * u for u in q.circuit.unrollings if q.circuit.masks[u] == qmask}
+    return kept["pass"], kept["stop"], ran, parts, products
 
 
 def _assemble(formula, models, k, sem):
@@ -127,8 +168,31 @@ def _bundled_cases():
 def test_pass_equals_stops_on_bundled_checks(case, arena, monkeypatch):
     name, formula, models, k, sem = case
     q = _assemble(formula, models, k, sem)
-    by_pass, by_stops, ran = _both_ways(monkeypatch, q)
-    assert ran == (name not in FOLDED)
+    by_pass, by_stops, ran, parts, _ = _both_ways(monkeypatch, q)
+    assert (ran, parts) == (name not in FOLDED, [])
+    assert by_pass == by_stops
+
+
+# the parts of negated fair non-repudiation's split stop that the pass
+# takes, per semantics: under the halting ones G !m[P], G !nrr[P] and
+# G !nro[P], which read Q only through its halting at the bound. Under
+# pes and classic every disjunct is a G, FALSE at the bound, so the
+# matrix folds and the quantifier meets no stop.
+NONREP_PARTS = {oracle.PES: 0, oracle.OPT: 1, oracle.HPES: 3, oracle.HOPT: 3, oracle.CLASSIC: 0}
+
+
+@pytest.mark.parametrize("variant", ["incorrect", "correct"])
+@pytest.mark.parametrize("k", [3, 5, 15])
+@pytest.mark.parametrize("sem", oracle.SEMANTICS)
+def test_split_parts_take_the_pass_on_nonrepudiation(variant, k, sem, arena, monkeypatch):
+    # the link finder gives up on the whole stop, and cuts the parts that
+    # reach Q through one link per step: the handle is the products', and
+    # the whole body's
+    formula = negate(parse_formula(builtin_spec("fair_nonrepudiation").formula))
+    model = gen_nonrepudiation(variant)
+    q = _assemble(formula, {"P": model, "Q": model}, k, sem)
+    by_pass, by_stops, ran, parts, _ = _both_ways(monkeypatch, q, whole=True)
+    assert ran == len(parts) == NONREP_PARTS[sem]
     assert by_pass == by_stops
 
 
@@ -153,15 +217,44 @@ def test_each_table_is_walked_once_per_solve(case, monkeypatch):
     assert len(walks) == len(set(walks)) == (0 if name in FOLDED else len(tables))
 
 
+@pytest.mark.parametrize("capped", [False, True])
+def test_solve_leaves_no_live_map_on_the_circuit(capped, monkeypatch):
+    # the driver keeps solved QBFs for reporting, so the live maps that a
+    # solve reads are dropped when it ends, also when the node cap stops
+    # it (here in the outer walk, the last reader); the next solve of the
+    # same QBF walks its tables again
+    walks = _count(monkeypatch, "live_codes", circuit)
+    if capped:
+        def capped_walk(self, *args):
+            raise bdd.NodeCapError(len(self))
+
+        monkeypatch.setattr(bdd.BDD, "walk", capped_walk)
+    model = gen_nonrepudiation("correct")
+    formula = negate(parse_formula(builtin_spec("fair_nonrepudiation").formula))
+    q = _assemble(formula, {"P": model, "Q": model}, 15, oracle.HOPT)
+    for solves in (1, 2):
+        if capped:
+            with pytest.raises(qbf.ResourceLimitError):
+                qbf.solve(q)
+        else:
+            qbf.solve(q)
+        assert q.circuit._live == {}
+        assert walks[0] == solves
+
+
 def _random_pass_counts(monkeypatch, seed, draws, blocks):
-    """(taken, not taken) of the pass over criterion 1's instances with `blocks` quantifier blocks.
+    """Counts of the pass over criterion 1's instances with `blocks` quantifier blocks.
 
     The instances are tests/test_acceptance.py's, under every semantics
     and both release rules; each has one trace per quantifier, so the
-    innermost block is one trace.
+    innermost block is one trace. Returns (instances the pass takes,
+    instances it does not, instances where it takes a split part, those
+    of them that make no product, the quantifier of each split part it
+    takes).
     """
     rng = random.Random(seed)
-    taken = other = 0
+    taken = other = split = whole = 0
+    parts = []
     for _ in range(draws):
         models, formula = rand_instance(rng, max_quants=blocks, depth=3, halting=True)
         k = rng.randint(0, 3)
@@ -170,17 +263,27 @@ def _random_pass_counts(monkeypatch, seed, draws, blocks):
                 q = assemble_qbf(formula, models, k, sem, literal)
                 if len(q.blocks) < blocks:
                     continue
-                by_pass, by_stops, ran = _both_ways(monkeypatch, q)
+                by_pass, by_stops, ran, cut, products = _both_ways(monkeypatch, q, whole=True)
                 assert by_pass == by_stops, (sem, literal, k, hl.render_formula(formula))
-                taken += ran
+                taken += ran > 0
                 other += not ran
-    return taken, other
+                split += bool(cut)
+                whole += bool(cut) and not products
+                parts += cut
+    return taken, other, split, whole, parts
 
 
 def test_pass_equals_stops_on_random_instances(arena, monkeypatch):
-    taken, other = _random_pass_counts(monkeypatch, 101, 1000, 2)
+    # besides whole stops, parts of split stops take the pass, under
+    # both quantifiers; a compile that tried the pass on whole stops only
+    # would cut no part. Where every part takes it, the inner trace's
+    # unrolling is never built (_both_ways).
+    taken, other, split, whole, parts = _random_pass_counts(monkeypatch, 101, 1000, 2)
     assert taken >= 400
     assert other >= 400
+    assert split >= 20
+    assert whole >= 10
+    assert parts.count(qbf._EXISTS) >= 25 and parts.count(qbf._FORALL) >= 10
 
 
 def test_pass_equals_stops_on_three_block_instances(arena, monkeypatch):
@@ -188,7 +291,7 @@ def test_pass_equals_stops_on_three_block_instances(arena, monkeypatch):
     # trace's body brings its block into, down to the pass: 46 of the 120
     # three-block instances at this seed; a quantifier that stopped at the
     # first such gate would reach none
-    taken, other = _random_pass_counts(monkeypatch, 102, 400, 3)
+    taken, other, _, _, _ = _random_pass_counts(monkeypatch, 102, 400, 3)
     assert taken >= 40
     assert other >= 40
 
@@ -196,34 +299,45 @@ def test_pass_equals_stops_on_three_block_instances(arena, monkeypatch):
 def test_several_links_keep_the_stops(monkeypatch):
     # fair non-repudiation, robustness and non-interference each read the
     # inner trace through two temporal chains from step 0: the link finder
-    # gives up there, and the stop machinery quantifies
+    # gives up on the whole stop there. Non-repudiation's stop splits into
+    # five parts: G !m[P], G !nrr[P] and G !nro[P] reach Q through one
+    # link per step and take the pass, and the two parts with several
+    # links keep their products. The other two do not split, and their one
+    # part keeps the product.
     grid = gen_grid(3, 1, set(), [(0, 0), (1, 0)], {(2, 0)})
     secure = _load("ni_secure.kr")
+    nonrep = negate(parse_formula(builtin_spec("fair_nonrepudiation").formula))
     cases = [
-        (negate(parse_formula(builtin_spec("fair_nonrepudiation").formula)),
-         gen_nonrepudiation("incorrect"), 15, oracle.HPES),
-        (negate(parse_formula(builtin_spec("fair_nonrepudiation").formula)),
-         gen_nonrepudiation("correct"), 15, oracle.HOPT),
-        (parse_formula(builtin_spec("robustness").formula), grid, 4, oracle.HPES),
-        (parse_formula(builtin_spec("non_interference").formula), secure, 3, oracle.HPES),
+        (nonrep, gen_nonrepudiation("incorrect"), 15, oracle.HPES, 3, 2),
+        (nonrep, gen_nonrepudiation("correct"), 15, oracle.HOPT, 3, 2),
+        (parse_formula(builtin_spec("robustness").formula), grid, 4, oracle.HPES, 0, 1),
+        (parse_formula(builtin_spec("non_interference").formula), secure, 3, oracle.HPES, 0, 1),
     ]
-    found = _count(monkeypatch, "_links")
+    finder = qbf._links
+    found = []
+
+    def counted(*args):
+        found.append(finder(*args))
+        return found[-1]
+
+    monkeypatch.setattr(qbf, "_links", counted)
     backward = _count(monkeypatch, "_backward")
     quantified = [0]
     quantify = bdd.BDD.quantify
 
-    def counted(self, *args):
+    def counted_quantify(self, *args):
         quantified[0] += 1
         return quantify(self, *args)
 
-    monkeypatch.setattr(bdd.BDD, "quantify", counted)
-    for formula, model, k, sem in cases:
+    monkeypatch.setattr(bdd.BDD, "quantify", counted_quantify)
+    for formula, model, k, sem, passes, products in cases:
         q = _assemble(formula, {"A": model, "B": model, "P": model, "Q": model}, k, sem)
-        found[0] = backward[0] = quantified[0] = 0
+        found.clear()
+        backward[0] = quantified[0] = 0
         qbf.solve(q)
-        assert found[0] >= 1
-        assert backward[0] == 0
-        assert quantified[0] >= 1
+        assert found[0] is None
+        assert len(found) == 1 + passes + products
+        assert (backward[0], quantified[0]) == (passes, products)
 
 
 def test_pass_at_a_deep_bound_keeps_recursion_limit(monkeypatch):
@@ -238,9 +352,10 @@ def test_pass_at_a_deep_bound_keeps_recursion_limit(monkeypatch):
 
 
 def test_link_finder_gives_up_at_the_first_step(monkeypatch):
-    # non-repudiation has two links at step 0, so the finder reads the
-    # masks of a few dozen nodes there, stops at the second, and never
-    # walks the rest of the body
+    # non-repudiation's whole stop, and two parts of its split, have two
+    # links at step 0, so each time the finder reads the masks of a few
+    # dozen nodes there, stops at the second, and never walks the rest of
+    # the body
     formula = negate(parse_formula(builtin_spec("fair_nonrepudiation").formula))
     model = gen_nonrepudiation("correct")
     q = _assemble(formula, {"P": model, "Q": model}, 15, oracle.HOPT)
@@ -257,16 +372,19 @@ def test_link_finder_gives_up_at_the_first_step(monkeypatch):
 
     def counted(circ, *args):
         masks, circ.masks = circ.masks, Counted(circ.masks)
+        Counted.reads = 0
         try:
-            results.append(finder(circ, *args))
+            chain = finder(circ, *args)
         finally:
             circ.masks = masks
-        return results[-1]
+        results.append((chain is not None, Counted.reads))
+        return chain
 
     monkeypatch.setattr(qbf, "_links", counted)
     qbf.solve(q)
-    assert results == [None]
-    assert 0 < Counted.reads * 20 < len(q.circuit)
+    # the whole stop, then its five parts: three are cut, two give up
+    assert [cut for cut, _ in results] == [False, True, True, True, False, False]
+    assert all(0 < reads * 20 < len(q.circuit) for cut, reads in results if not cut)
 
 
 def _one_bit_trace(step_rows, body):
@@ -290,7 +408,7 @@ def test_link_under_a_not_keeps_the_stops(monkeypatch):
     # rises, so V = F0 OR (F1 AND W) would not hold; the stops take it
     q, stop = _one_bit_trace([0b00, 0b10, 0b01, 0b11],
                              lambda c, x0, b: c.not_(c.or_([c.and_([x0, c.not_(b[0])]), b[1]])))
-    assert qbf._links(q.circuit, stop, qbf._FORALL, 0b1110) is None
+    assert qbf._links(q.circuit, q.circuit.children(stop), qbf._FORALL, 0b1110) is None
     backward = _count(monkeypatch, "_backward")
     r = qbf.solve(q)
     assert backward[0] == 0

@@ -25,7 +25,7 @@ from hyperbmc.kripke import enumerate_prefixes, parse_kripke
 from hyperbmc.models import PAPER_GRID_10, builtin_spec, gen_bakery, gen_grid, gen_nonrepudiation, parse_grid_map
 from hyperbmc.qbf import solve
 
-from conftest import COMPLETE_KR, bfs_distance, halt_depth, rand_acyclic_halting, rand_body, rand_instance
+from conftest import COMPLETE_KR, bfs_distance, grid_map, halt_depth, rand_acyclic_halting, rand_body, rand_instance
 
 AB_STATE = parse_kripke("ap a b; states s0; init s0; label s0 {a}; trans s0 -> s0;")
 CHAIN = parse_kripke(
@@ -103,16 +103,21 @@ def test_witness_status(monkeypatch):
     assert v.witness_status is None
 
 
-def test_grid10_plan_is_verified():
-    # B ranges over more prefixes than the oracle would enumerate; the
-    # tableau re-checks A's plan, which is reported
-    width, height, obstacles, inits, goals = parse_grid_map(PAPER_GRID_10)
+def _check_shortest_plan(map_text, k):
+    """The reported plan of shortest_path on a grid map at bound k, checked; returns its first goal step and the BFS distance.
+
+    B ranges over more prefixes than the oracle would enumerate; the
+    tableau re-checks A's plan, which is reported. It must be a legal run
+    from the initial cell.
+    """
+    width, height, obstacles, inits, goals = parse_grid_map(map_text)
     grid = gen_grid(width, height, obstacles, inits, goals)
     f = parse_formula(builtin_spec("shortest_path").formula)
-    v = check(CheckConfig(formula=f, models={"A": grid, "B": grid}, k_from=20, k_max=20,
+    v = check(CheckConfig(formula=f, models={"A": grid, "B": grid}, k_from=k, k_max=k,
                           semantics=oracle.CLASSIC))
-    assert (v.k, v.qbf_value, v.witness_status) == (20, True, "verified")
+    assert (v.k, v.qbf_value, v.witness_status) == (k, True, "verified")
     cells = [tuple(map(int, re.match(r"c(\d+)_(\d+)_", s).groups())) for s in v.witness["A"].states]
+    assert len(cells) == k + 1
     assert cells[0] == inits[0]
     for c, d in zip(cells, cells[1:]):
         if c in goals:
@@ -121,7 +126,16 @@ def test_grid10_plan_is_verified():
             assert abs(c[0] - d[0]) + abs(c[1] - d[1]) == 1
             assert 0 <= d[0] < width and 0 <= d[1] < height and d not in obstacles
     first = next(i for i, c in enumerate(cells) if c in goals)
-    assert first == bfs_distance(width, height, obstacles, inits[0], goals) == 16
+    return first, bfs_distance(width, height, obstacles, inits[0], goals)
+
+
+def test_grid10_plan_is_verified():
+    assert _check_shortest_plan(PAPER_GRID_10, 20) == (16, 16)
+
+
+def test_seeded_20x20_plan_is_verified():
+    # the map of the CI step, 1,049 states, at k = 2n
+    assert _check_shortest_plan(grid_map(20), 40) == (38, 38)
 
 
 def test_two_residual_blocks_take_the_oracle(monkeypatch):

@@ -512,8 +512,8 @@ def _solver_nodes(monkeypatch, model, formula, sem, k, orders):
 def test_node_counts_in_declaration_and_chosen_order(monkeypatch):
     # the benchmark's seed-1 models at the largest bound each check solves
     want = {
-        "nonrep-incorrect": (40_566, 16_823),
-        "nonrep-correct": (42_949, 16_001),
+        "nonrep-incorrect": (39_118, 16_191),
+        "nonrep-correct": (41_667, 15_330),
         "bakery2": (1_524, 960),
         "grid10": (578, 578),
     }

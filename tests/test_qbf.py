@@ -467,8 +467,10 @@ def test_split_bodies_agree_with_naive_evaluator(rng, monkeypatch):
 
 def test_split_fires_once_per_mixed_disjunct(monkeypatch):
     # The negated fair non-repudiation check: ∃Q meets Q's unrolling and
-    # the negated body, an OR with several disjuncts over P and Q, in one
-    # AND. Each disjunct gets a product of its own, and the result is the
+    # the negated body, an OR with five disjuncts over P and Q, in one
+    # AND. Each disjunct gets a backward pass or a product of its own: the
+    # three that reach Q through one link per step take the pass, the two
+    # that read it through several chains a product. The result is the
     # handle of the single product over the whole body.
     from hyperbmc import bdd, circuit, encoder, oracle, qbf
     from hyperbmc.hyperltl import negate, parse_formula
@@ -501,11 +503,20 @@ def test_split_fires_once_per_mixed_disjunct(monkeypatch):
     assert len(disjuncts) >= 2 and len(disjuncts) == len(operands(body))
 
     calls = _count_calls(monkeypatch, "quantify")
+    passes = [0]
+    backward = qbf._backward
+
+    def counted(*args):
+        passes[0] += 1
+        return backward(*args)
+
+    monkeypatch.setattr(qbf, "_backward", counted)
     # handles from separate calls are compared: no collection may renumber them
     monkeypatch.setattr(bdd.BDD, "maybe_collect", lambda self, pinned: None)
     mgr = bdd.BDD()
     split = qbf._compile(c, mgr, q.matrix, qbf._EXISTS, inner)
-    assert calls[0] == len(disjuncts)
+    assert len(disjuncts) == 5
+    assert (passes[0], calls[0]) == (3, 2)
     guard = mgr.join(bdd.AND, [qbf._compile(c, mgr, n) for n in guards])
     whole = mgr.quantify(bdd.AND, guard, qbf._compile(c, mgr, body), inner)
     rest = [qbf._compile(c, mgr, n) for n in c.payloads[q.matrix] if n != stop]
@@ -814,12 +825,14 @@ def test_chain_guards_agree_with_naive_evaluator(rng, monkeypatch):
     # the others of its shape; a near miss is joined. So is an innermost
     # unrolling that the body's constant leaves as the quantifier's stop:
     # one paths call, then quantified, and none of its gates joined.
-    # Where the backward pass quantifies the innermost block, its
-    # unrolling is not built, nor is the outermost one where it is walked:
-    # only the other blocks' shapes are.
+    # Where the backward pass quantifies the innermost block, and no part
+    # of a split stop is left to a product, its unrolling is not built,
+    # nor is the outermost one where it is walked: only the other blocks'
+    # shapes are.
     from hyperbmc import qbf
 
     calls = _count_calls(monkeypatch, "paths")
+    quantified = _count_calls(monkeypatch, "quantify")
     passes = [0]
     backward = qbf._backward
 
@@ -831,11 +844,13 @@ def test_chain_guards_agree_with_naive_evaluator(rng, monkeypatch):
     built = kept = witnesses = stops = taken = walked = 0
     for _ in range(400):
         q, shapes, constant = rand_chain_prenex(rng)
-        calls[0] = passes[0] = 0
+        calls[0] = passes[0] = quantified[0] = 0
         r = solve(q)
         outer = qbf._outer_unrolling(q.circuit, q.matrix, *q.blocks[0]) is not None
         assert outer <= (shapes[0] is not None)
-        distinct = set(shapes[outer:len(shapes) - passes[0]]) - {None}
+        # every product, past the one elimination of each middle block
+        products = quantified[0] - (len(q.blocks) - 2)
+        distinct = set(shapes[outer:len(shapes) - (passes[0] > 0 and not products)]) - {None}
         assert calls[0] == len(distinct)
         taken += passes[0]
         walked += outer

@@ -26,17 +26,9 @@ from hyperbmc.hyperltl import negate, parse_formula
 from hyperbmc.kripke import HALT_AP, parse_kripke
 from hyperbmc.models import builtin_spec, gen_bakery, gen_grid, gen_nonrepudiation, parse_grid_map
 
-from conftest import COMPLETE_KR, check_result, rand_body, rand_instance
+from conftest import COMPLETE_KR, check_result, grid_map, rand_body, rand_instance
 from test_backward import AE, SYMMETRY3, _assemble, _bundled_cases, _grid10
 from test_qbf import _count_calls, rand_chain_prenex
-
-
-def _grid_map(n, seed=0):
-    """An n×n map with seeded obstacles on n²//6 cells, from (0, 0) to (n−1, n−1), as in CI."""
-    free = [(x, y) for x in range(n) for y in range(n) if (x, y) not in ((0, 0), (n - 1, n - 1))]
-    walls = set(random.Random(seed).sample(free, n * n // 6))
-    cell = {(0, 0): "I", (n - 1, n - 1): "G", **dict.fromkeys(walls, "#")}
-    return "\n".join("".join(cell.get((x, y), ".") for x in range(n)) for y in reversed(range(n)))
 
 
 def _both_routes(monkeypatch, q):
@@ -64,7 +56,7 @@ def _walk_cases():
     grid = _grid10(1)
     for text in ("exists A. F goal[A]", "forall A. G !goal[A]"):
         yield f"grid10 {text}", parse_formula(text), {"A": grid}, 20, oracle.CLASSIC
-    grid = gen_grid(*parse_grid_map(_grid_map(20)))
+    grid = gen_grid(*parse_grid_map(grid_map(20)))
     shortest = parse_formula(builtin_spec("shortest_path").formula)
     yield "grid20 k=40", shortest, {"A": grid, "B": grid}, 40, oracle.CLASSIC
 
@@ -149,7 +141,7 @@ def test_check_equals_tableau_at_scale(monkeypatch):
     # bakery (792 states); one-trace formulas up to k = 2n, two-trace ones
     # at small bounds, where the tableau's pairs of states stay below its
     # cap. Bakery declares no halt state, so it takes no halting semantics.
-    grid = gen_grid(*parse_grid_map(_grid_map(20)))
+    grid = gen_grid(*parse_grid_map(grid_map(20)))
     bakery3 = gen_bakery(3)
     settings = [
         (grid, oracle.SEMANTICS, 40, 8),
